@@ -24,9 +24,11 @@ def pagerank_reference(edges: Iterable[Edge], damping: float = 0.85,
     PR = 1.0.  (This is the unnormalized variant the paper uses; dividing by
     the vertex count recovers the probability-normalized PageRank up to the
     handling of dangling mass.)  Vertices are all ids appearing as a source
-    or destination.
+    or destination, so an empty edge list has no scores.
     """
     edges = list(edges)
+    if not edges:
+        return {}
     vertices = sorted({v for e in edges for v in e})
     index = {v: i for i, v in enumerate(vertices)}
     n = len(vertices)

@@ -82,9 +82,6 @@ CODES: Dict[str, Tuple[Severity, str]] = {
     "REX107": (Severity.WARNING,
                "UDF/predicate/handler body reads a row attribute outside "
                "its declared reads= metadata"),
-    "REX108": (Severity.WARNING,
-               "per-row dict idiom (string-keyed subscript or .items() "
-               "loop) inside a registered columnar kernel body"),
     "REX200": (Severity.ERROR,
                "illegal delta annotation against operator state "
                "(UPDATE/DELETE of absent rows, duplicate insert, or "

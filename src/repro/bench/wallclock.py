@@ -45,13 +45,6 @@ pushdown and exchange narrowing both fire; there the payload records
 the wire-bytes and shuffled-tuple reductions::
 
     PYTHONPATH=src python -m repro.bench.wallclock --rewrites --out BENCH_9.json
-
-``--columnar`` measures the column-major block backend
-(``ExecOptions(columnar=...)``) against the row-at-a-time oracle and
-writes the BENCH_10 payload; the run fails unless simulated metrics are
-bit-identical columnar on and off::
-
-    PYTHONPATH=src python -m repro.bench.wallclock --columnar --out BENCH_10.json
 """
 
 from __future__ import annotations
@@ -127,8 +120,7 @@ def _workloads(smoke: bool, nodes: int, seed: int
 
 def _time_run(make_runner: Callable, batch: bool, obs=None,
               sanitize: str = "off", fuse: bool = True, flight: bool = True,
-              absint: bool = True, rewrite: bool = True,
-              columnar: bool = False
+              absint: bool = True, rewrite: bool = True
               ) -> Tuple[float, float, QueryMetrics]:
     """Build a fresh cluster, then time one query execution.
 
@@ -143,7 +135,7 @@ def _time_run(make_runner: Callable, batch: bool, obs=None,
     setup_wall = time.perf_counter() - setup_start
     options = ExecOptions(batch=batch, obs=obs, sanitize=sanitize,
                           fuse=fuse, flight=flight, absint=absint,
-                          rewrite=rewrite, columnar=columnar)
+                          rewrite=rewrite)
     gc_was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()
@@ -301,8 +293,9 @@ def run_fusion_benchmark(smoke: bool = False, nodes: int = 8, seed: int = 7,
     """Fused vs unfused wall clock; returns the BENCH_5 payload.
 
     Both sides run batch mode (the fusion pass targets the batch
-    pipeline); ``fuse=False`` is this PR's off switch, so unfused here is
-    exactly the PR 1 batch pipeline re-measured on today's machine.  The
+    pipeline); ``fuse=False`` turns off plan fusion only — the network
+    fabric fast paths run either way — so unfused here is the batch
+    pipeline without fused kernels, re-measured on today's machine.  The
     run *fails* (AssertionError) if any workload's simulated-metrics
     fingerprint differs between the two — a speedup must never come from
     doing different simulated work.  When ``baseline_path`` exists, each
@@ -369,85 +362,6 @@ def run_fusion_benchmark(smoke: bool = False, nodes: int = 8, seed: int = 7,
               if "speedup_vs_pr1_batch" in w]
     if vs_pr1:
         results["geomean_speedup_vs_pr1_batch"] = round(_geomean(vs_pr1), 3)
-    return results
-
-
-def run_columnar_benchmark(smoke: bool = False, nodes: int = 8, seed: int = 7,
-                           repeats: int = 1,
-                           baseline_path: str = "BENCH_5.json") -> Dict:
-    """Columnar vs row-at-a-time blocks; returns the BENCH_10 payload.
-
-    Both sides run batch+fused (the columnar backend rides the batch
-    pipeline and the fusion pass emits its fused block kernels);
-    ``columnar=False`` is exactly the PR 5 fused engine re-measured on
-    today's machine.  The run *fails* (AssertionError) if any workload's
-    simulated-metrics fingerprint differs between the two — the row path
-    is the oracle, and a ``ColumnBlock`` must be a physical layout
-    change only.  When ``baseline_path`` exists, each workload also
-    reports its speedup against that file's recorded
-    ``fused_wall_seconds`` (the PR 5 fused baseline as measured when
-    BENCH_5.json was produced — a cross-machine comparison, noisier
-    than the same-process columnar-vs-row ratio).
-    """
-    import os
-
-    baseline: Dict = {}
-    if baseline_path and os.path.exists(baseline_path):
-        with open(baseline_path) as fh:
-            recorded = json.load(fh)
-        # Only comparable when the baseline measured the same workload
-        # sizes on the same simulated cluster width.
-        if (recorded.get("smoke", False) == smoke
-                and recorded.get("nodes") == nodes):
-            baseline = recorded.get("workloads", {})
-    results: Dict = {
-        "benchmark": "wallclock-columnar-vs-row",
-        "smoke": smoke,
-        "nodes": nodes,
-        "baseline": baseline_path if baseline else None,
-        "workloads": {},
-    }
-    for name, make_runner in _workloads(smoke, nodes, seed):
-        # Interleave columnar/row (alternating order per repeat) so
-        # monotone within-process drift penalizes both sides equally.
-        runs_col = []
-        runs_row = []
-        for r in range(repeats):
-            order = (False, True) if r % 2 == 0 else (True, False)
-            for columnar in order:
-                _, wall, metrics = _time_run(make_runner, batch=True,
-                                             columnar=columnar)
-                (runs_col if columnar else runs_row).append((wall, metrics))
-        col_wall = min(wall for wall, _ in runs_col)
-        row_wall = min(wall for wall, _ in runs_row)
-        fp_col = _metrics_fingerprint(runs_col[0][1])
-        fp_row = _metrics_fingerprint(runs_row[0][1])
-        if fp_col != fp_row:
-            raise AssertionError(
-                f"{name}: simulated metrics diverge between columnar and "
-                f"row runs — the row path is the oracle\n"
-                f"columnar: {fp_col}\nrow:      {fp_row}")
-        entry = {
-            "columnar_wall_seconds": round(col_wall, 4),
-            "row_wall_seconds": round(row_wall, 4),
-            "speedup": round(speedup(row_wall, col_wall), 3),
-            "simulated_seconds": runs_col[0][1].total_seconds(),
-            "strata": runs_col[0][1].num_iterations,
-            "simulated_metrics_identical": True,
-        }
-        recorded = baseline.get(name, {}).get("fused_wall_seconds")
-        if recorded:
-            entry["pr5_fused_wall_seconds"] = recorded
-            entry["speedup_vs_pr5_fused"] = round(
-                speedup(recorded, col_wall), 3)
-        results["workloads"][name] = entry
-    results["geomean_speedup"] = round(_geomean(
-        [w["speedup"] for w in results["workloads"].values()]), 3)
-    vs_pr5 = [w["speedup_vs_pr5_fused"]
-              for w in results["workloads"].values()
-              if "speedup_vs_pr5_fused" in w]
-    if vs_pr5:
-        results["geomean_speedup_vs_pr5_fused"] = round(_geomean(vs_pr5), 3)
     return results
 
 
@@ -865,31 +779,18 @@ def main(argv=None) -> int:
                              "vs off (the BENCH_9 payload; fails if "
                              "simulated metrics differ on the standard "
                              "workloads, where no rewrite is licensed)")
-    parser.add_argument("--columnar", action="store_true",
-                        help="measure the columnar block backend on vs off "
-                             "(the BENCH_10 payload; fails if simulated "
-                             "metrics differ — the row path is the oracle)")
-    parser.add_argument("--baseline", default=None,
-                        help="with --fusion (default BENCH_1.json): JSON "
-                             "whose recorded batch_wall_seconds serve as "
-                             "the PR 1 comparison point; with --columnar "
-                             "(default BENCH_5.json): JSON whose recorded "
-                             "fused_wall_seconds serve as the PR 5 "
-                             "comparison point (skipped if missing)")
+    parser.add_argument("--baseline", default="BENCH_1.json",
+                        help="with --fusion: BENCH_1-format JSON whose "
+                             "recorded batch_wall_seconds serve as the "
+                             "PR 1 comparison point (skipped if missing)")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
 
-    if sum((args.fusion, args.telemetry, args.absint, args.rewrites,
-            args.columnar)) > 1:
-        parser.error("--fusion, --telemetry, --absint, --rewrites and "
-                     "--columnar are mutually exclusive")
-    if args.columnar:
-        results = run_columnar_benchmark(
-            smoke=args.smoke, nodes=args.nodes, seed=args.seed,
-            repeats=args.repeats,
-            baseline_path=args.baseline or "BENCH_5.json")
-    elif args.rewrites:
+    if sum((args.fusion, args.telemetry, args.absint, args.rewrites)) > 1:
+        parser.error("--fusion, --telemetry, --absint and --rewrites are "
+                     "mutually exclusive")
+    if args.rewrites:
         results = run_rewrite_benchmark(smoke=args.smoke, nodes=args.nodes,
                                         seed=args.seed,
                                         repeats=args.repeats)
@@ -904,7 +805,7 @@ def main(argv=None) -> int:
         results = run_fusion_benchmark(
             smoke=args.smoke, nodes=args.nodes, seed=args.seed,
             repeats=args.repeats,
-            baseline_path=args.baseline or "BENCH_1.json")
+            baseline_path=args.baseline)
     else:
         results = run_benchmark(smoke=args.smoke, nodes=args.nodes,
                                 seed=args.seed, repeats=args.repeats,
@@ -916,15 +817,7 @@ def main(argv=None) -> int:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     print(text)
-    if args.columnar:
-        for name, row in results["workloads"].items():
-            vs_pr5 = (f", {row['speedup_vs_pr5_fused']}x vs PR 5 fused"
-                      if "speedup_vs_pr5_fused" in row else "")
-            print(f"{name}: {row['speedup']}x "
-                  f"({row['row_wall_seconds']}s -> "
-                  f"{row['columnar_wall_seconds']}s{vs_pr5})")
-        print(f"geomean: {results['geomean_speedup']}x columnar vs row")
-    elif args.rewrites:
+    if args.rewrites:
         for name, row in results["workloads"].items():
             line = (f"{name}: {row['speedup']}x "
                     f"({row['no_rewrite_wall_seconds']}s -> "

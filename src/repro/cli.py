@@ -21,7 +21,9 @@ Five subcommands wrap the analysis and observability subsystems:
     python -m repro.cli flight flight-*.json [--format json]
 
 ``analyze`` prints the plan diagnostics without executing (exit 1 when
-any are error-level); ``lint`` runs the simulator-invariant linter over
+any are error-level), followed by the physical plan's inferred
+properties, column lineage, rewrite decisions and fusion decisions (the
+same sections appear as keys in ``--format json``); ``lint`` runs the simulator-invariant linter over
 source trees; ``check`` runs the determinism checker — the same built-in
 workload executed under K seeded schedule perturbations, diffed for
 result races (REX205/REX206, exit 1 on a race); ``telemetry`` runs a
@@ -31,9 +33,7 @@ post-mortem bundles.  Plain query runs refuse plans with error-level
 diagnostics unless ``--force`` is given (the bypassed report is still
 printed to stderr and attached to the trace), ``--sanitize=sample|full``
 turns on the runtime delta sanitizer (REX200-REX204, exit 1 on
-violations), ``--columnar`` runs stateless chains on the column-major
-block backend (same simulated metrics, different physical layout),
-``--telemetry FILE`` exports the run's metrics registry, and
+violations), ``--telemetry FILE`` exports the run's metrics registry, and
 ``--flight-dir DIR`` names where post-mortem bundles land.
 """
 
@@ -139,10 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "default off)")
     parser.add_argument("--sanitize-seed", type=int, default=0,
                         help="seed for the sanitizer's sampling (default 0)")
-    parser.add_argument("--columnar", action="store_true",
-                        help="run stateless chains on the column-major "
-                             "block backend (simulated metrics are "
-                             "bit-identical to the row path by contract)")
     parser.add_argument("--telemetry", metavar="FILE", default=None,
                         help="export the run's metrics registry: OpenMetrics"
                              " text ('-' for stdout; a .json suffix switches"
@@ -553,7 +549,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         options = ExecOptions(max_strata=args.max_strata, obs=obs,
                               sanitize=args.sanitize,
                               sanitize_seed=args.sanitize_seed,
-                              columnar=args.columnar,
                               flight_dir=args.flight_dir)
         result = session.execute(query, options, check=not args.force)
     except ReproError as exc:

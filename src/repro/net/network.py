@@ -94,7 +94,7 @@ class SimulatedNetwork:
         self.total_bytes = 0
         self.bytes_by_node: Dict[int, int] = {}
         self._dead: set = set()
-        #: Armed by the executor on fused, unperturbed runs: enables the
+        #: Armed by the executor on every unperturbed run: enables the
         #: observer-free drain loop and bulk punctuation fanout.  Every
         #: fast path preserves message order, delivery semantics, and
         #: charge multisets exactly; paths that an observer must see fall
@@ -120,6 +120,13 @@ class SimulatedNetwork:
         discarded at delivery time."""
         self._dead.add(node)
         for key in [k for k in self._handlers if k[0] == node]:
+            del self._handlers[key]
+
+    def unregister_exchanges(self, exchanges) -> None:
+        """Drop the handlers of ``exchanges`` on every node.  Keys already
+        gone (e.g. dropped by :meth:`unregister_node`) are skipped."""
+        names = set(exchanges)
+        for key in [k for k in self._handlers if k[1] in names]:
             del self._handlers[key]
 
     def revive_node(self, node: int) -> None:

@@ -46,30 +46,13 @@ class ExecContext:
 
     def __init__(self, worker, cluster=None, snapshot=None,
                  hooks: Optional[RuntimeHooks] = None, registry=None,
-                 batch: bool = False, obs=None, sanitizer=None,
-                 fuse: bool = False, columnar: bool = False):
+                 batch: bool = False, obs=None, sanitizer=None):
         self.worker = worker
         self.cluster = cluster
         self.snapshot = snapshot
         self.hooks = hooks or RuntimeHooks()
         self.registry = registry
         self.batch = batch
-        #: Fused-execution fabric fast paths (set by the executor on
-        #: unperturbed ``ExecOptions(fuse=True)`` runs): operators may
-        #: take bulk-accounting shortcuts that preserve message order and
-        #: charge multisets exactly (e.g. the rehash sender's
-        #: punctuation fanout).  ``False`` — the unit-test default —
-        #: keeps every legacy code path.
-        self.fuse = fuse
-        #: Columnar backend fabric: sources emit
-        #: :class:`~repro.operators.blocks.ColumnBlock` batches into
-        #: block-capable consumers (``Operator.accepts_blocks``) instead
-        #: of ``List[Delta]``.  Set by the executor only on unsanitized
-        #: batch runs — the sanitizer's delta-invariant wrappers hook
-        #: ``push_batch``, so block traffic under ``sanitize != off``
-        #: would bypass them; the row path (the oracle) runs instead,
-        #: with identical charge multisets either way.
-        self.columnar = columnar
         #: Optional :class:`repro.obs.ObsContext`.  When set, every
         #: operator opened against this context is instrumented (tracing,
         #: per-operator metrics, cost attribution); when ``None`` — the
@@ -114,13 +97,6 @@ class Operator:
 
     #: CPU charged per received tuple, overridable per subclass.
     per_tuple_cost: Optional[float] = None
-
-    #: True on operators with a native columnar kernel
-    #: (:meth:`push_block` consuming a ColumnBlock without
-    #: materializing deltas).  Sources consult this before building a
-    #: block at all — emitting a block into a row-only consumer would
-    #: just pay the boundary conversion for nothing.
-    accepts_blocks: bool = False
 
     def __init__(self, name: Optional[str] = None):
         self.name = name or type(self).__name__
@@ -184,28 +160,6 @@ class Operator:
         process = self.process
         for delta in deltas:
             process(delta, port)
-
-    def push_block(self, block, port: int = 0) -> None:
-        """Entry point for a :class:`~repro.operators.blocks.ColumnBlock`.
-
-        This default is the block→row boundary adapter: it materializes
-        the exact delta batch the row pipeline would have carried and
-        falls back to :meth:`push_batch` — stateful operators without a
-        columnar kernel (HashJoin, Fixpoint, ExchangeReceiver) consume
-        block traffic through it transparently, with identical outputs
-        and charge multisets.  Operators overriding this with a native
-        kernel set :attr:`accepts_blocks`.
-        """
-        deltas = block.to_deltas()
-        if deltas:
-            self.push_batch(deltas, port)
-
-    def emit_block(self, block) -> None:
-        """Hand a whole output block to the parent's block entry point
-        (the parent's boundary adapter degrades it to rows if needed)."""
-        if self.parent is None:
-            raise ExecutionError(f"{self.name} has no parent to emit to")
-        self.parent.push_block(block, self.parent_port)
 
     def emit(self, delta: Delta) -> None:
         if self.parent is None:

@@ -24,7 +24,6 @@ from repro.common.errors import ExecutionError
 from repro.common.punctuation import Punctuation
 from repro.common.sizes import row_bytes
 from repro.operators.base import Operator
-from repro.operators.blocks import columnar_kernel
 from repro.udf.aggregates import AggregateSpec
 from repro.udf.builtins import ArgMin, Sum
 
@@ -58,8 +57,6 @@ class GroupBy(Operator):
     proof_insert_only: bool = False
     proof_update_only: bool = False
 
-    accepts_blocks = True
-
     def __init__(self, key_fn: Callable[[tuple], tuple],
                  specs: Sequence[AggregateSpec],
                  mode: str = "stratum",
@@ -77,7 +74,6 @@ class GroupBy(Operator):
         self.groups: Dict[tuple, _Group] = {}
         self._dirty: Dict[tuple, None] = {}  # insertion-ordered set
         self._key_memo: Dict[tuple, tuple] = {}  # row -> extracted key
-        self.block_batches = 0
         # Memo accounting, surfaced by repro.obs as memo.groupby.* counters.
         # Per-delta work lives only in the rare branches (miss, eviction);
         # hits are reconstructed once per batch.
@@ -509,228 +505,6 @@ class GroupBy(Operator):
             charge_cpu(udf_cost, udf_charges)
         self.memo_misses += misses
         self.memo_hits += len(deltas) - misses
-
-    @columnar_kernel
-    def push_block(self, block, port: int = 0) -> None:
-        """Columnar kernel: grouped aggregation straight off the block's
-        row and payload vectors.  Homogeneous ``+`` and ``δ`` blocks —
-        the shapes strata actually emit — run loops that read rows
-        positionally and only build a :class:`Delta` when a generic
-        aggregator fold needs one; everything else (stream mode, REPLACE
-        or mixed polarity) degrades to the row path with identical
-        outputs and charges."""
-        if not block:
-            return
-        kind = block.kind
-        if (self.mode != "stream" and self.specs
-                and kind is DeltaOp.INSERT and block.payloads is None):
-            self.block_batches += 1
-            self._push_block_insert(block)
-        elif (self.mode != "stream" and self.specs
-                and kind is DeltaOp.UPDATE):
-            self.block_batches += 1
-            self._push_block_update(block)
-        else:
-            deltas = block.to_deltas()
-            if deltas:
-                # Class-level call: the row entry point charges the
-                # batch itself, and any obs wrapper already counted
-                # this block at push_block.
-                type(self).push_batch(self, deltas, port)
-
-    def _push_block_insert(self, block) -> None:
-        """Insert-run kernel — :meth:`_push_batch_insert_only` over the
-        row vector (same memo, same state-budget guard, same charge
-        multiset), with no deltas on the ArgMin/simple-fold paths."""
-        ctx = self.ctx
-        rows = block.rows
-        ctx.charge_tuple_batch(len(rows), self.per_tuple_cost)
-        cost = ctx.cost
-        spec_plan = []
-        for spec in self.specs:
-            per_delta_cost = getattr(spec.aggregator, "per_delta_cost", None)
-            spec_plan.append((
-                spec.arg, spec.aggregator.agg_state,
-                per_delta_cost(cost) if per_delta_cost is not None else None,
-            ))
-        key_fn = self.key_fn
-        groups = self.groups
-        dirty = self._dirty
-        specs = self.specs
-        worker = ctx.worker
-        charge_state_access = worker.charge_state_access
-        memory_budget = worker.cost.worker_memory_bytes
-        charge_cpu = ctx.charge_cpu
-        charge_counts = [0] * len(spec_plan)
-        if len(spec_plan) == 1:
-            s_arg, s_agg_state, s_per_delta = spec_plan[0]
-            single = True
-            s_argmin_fast = (specs[0].aggregator.__class__ is ArgMin
-                             and s_per_delta is None)
-        else:
-            single = False
-            s_argmin_fast = False
-        key_memo = self._key_memo
-        key_memo_cap = self.key_memo_cap
-        insert = DeltaOp.INSERT
-        misses = 0
-        for row in rows:
-            try:
-                key = key_memo.get(row)
-            except TypeError:
-                misses += 1
-                key = key_fn(row)
-            else:
-                if key is None:
-                    misses += 1
-                    if len(key_memo) >= key_memo_cap:
-                        self.memo_evictions += len(key_memo)
-                        key_memo.clear()
-                    key = key_memo[row] = key_fn(row)
-            if worker.state_bytes > memory_budget:
-                charge_state_access()
-            try:
-                group = groups[key]
-            except KeyError:
-                group = _Group([spec.aggregator.init_state()
-                                for spec in specs])
-                groups[key] = group
-                worker.add_state_bytes(row_bytes(key) + 32)
-            group.live += 1
-            if s_argmin_fast:
-                ident, value = s_arg(row)
-                state0 = group.states[0]
-                k = (value, ident)
-                mlive = state0._live
-                mlive[k] = mlive.get(k, 0) + 1
-                state0.size += 1
-                if not state0._stale:
-                    best = state0._best
-                    if best is None or k < best:
-                        state0._best = k
-                dirty[key] = None
-                continue
-            states = group.states
-            if single:
-                if s_per_delta is not None:
-                    charge_counts[0] += 1
-                states[0] = s_agg_state(states[0], Delta(insert, row),
-                                        s_arg(row), None)
-            else:
-                delta = Delta(insert, row)
-                i = 0
-                for arg, agg_state, per_delta in spec_plan:
-                    if per_delta is not None:
-                        charge_counts[i] += 1
-                    states[i] = agg_state(states[i], delta, arg(row), None)
-                    i += 1
-            dirty[key] = None
-        for i, (_, _, per_delta) in enumerate(spec_plan):
-            if charge_counts[i]:
-                charge_cpu(per_delta, charge_counts[i])
-        self.memo_misses += misses
-        self.memo_hits += len(rows) - misses
-
-    def _push_block_update(self, block) -> None:
-        """δ-run kernel — :meth:`_push_batch_update_only` over the row
-        and payload vectors; the inline running-SUM fold never touches a
-        delta, generic folds build one each (exactly what the fallback
-        would hand them)."""
-        ctx = self.ctx
-        rows = block.rows
-        n = len(rows)
-        ctx.charge_tuple_batch(n, self.per_tuple_cost)
-        cost = ctx.cost
-        spec_plan = []
-        for spec in self.specs:
-            per_delta_cost = getattr(spec.aggregator, "per_delta_cost", None)
-            spec_plan.append((
-                spec.arg, spec.aggregator.agg_state,
-                per_delta_cost(cost) if per_delta_cost is not None else None,
-            ))
-        key_fn = self.key_fn
-        groups = self.groups
-        dirty = self._dirty
-        specs = self.specs
-        worker = ctx.worker
-        charge_state_access = worker.charge_state_access
-        memory_budget = worker.cost.worker_memory_bytes
-        charge_cpu = ctx.charge_cpu
-        udf_cost = cost.udf_cost_per_tuple(batched=True)
-        charge_counts = [0] * len(spec_plan)
-        udf_charges = 0
-        if len(spec_plan) == 1:
-            s_arg, s_agg_state, s_per_delta = spec_plan[0]
-            single = True
-            s_sum_fast = (specs[0].aggregator.__class__ is Sum
-                          and s_per_delta is None)
-        else:
-            single = False
-            s_sum_fast = False
-        key_memo = self._key_memo
-        key_memo_cap = self.key_memo_cap
-        update = DeltaOp.UPDATE
-        payloads = block.payloads or ((None,) * n)
-        misses = 0
-        for row, payload in zip(rows, payloads):
-            try:
-                key = key_memo.get(row)
-            except TypeError:
-                misses += 1
-                key = key_fn(row)
-            else:
-                if key is None:
-                    misses += 1
-                    if len(key_memo) >= key_memo_cap:
-                        self.memo_evictions += len(key_memo)
-                        key_memo.clear()
-                    key = key_memo[row] = key_fn(row)
-            if worker.state_bytes > memory_budget:
-                charge_state_access()
-            try:
-                group = groups[key]
-            except KeyError:
-                group = _Group([spec.aggregator.init_state()
-                                for spec in specs])
-                groups[key] = group
-                worker.add_state_bytes(row_bytes(key) + 32)
-            if group.live < 1:
-                group.live = 1
-            if s_sum_fast:
-                if (payload.__class__ is float
-                        or payload.__class__ is int):
-                    state0 = group.states[0]
-                    if state0["count"] < 1:
-                        state0["count"] = 1
-                    state0["sum"] += payload
-                    udf_charges += 1
-                    dirty[key] = None
-                    continue
-            states = group.states
-            delta = Delta(update, row, payload=payload)
-            if single:
-                if s_per_delta is not None:
-                    charge_counts[0] += 1
-                else:
-                    udf_charges += 1
-                states[0] = s_agg_state(states[0], delta, None, None)
-            else:
-                i = 0
-                for _arg, agg_state, per_delta in spec_plan:
-                    if per_delta is not None:
-                        charge_counts[i] += 1
-                    else:
-                        udf_charges += 1
-                    states[i] = agg_state(states[i], delta, None, None)
-                    i += 1
-            dirty[key] = None
-        for i, (_, _, per_delta) in enumerate(spec_plan):
-            if charge_counts[i]:
-                charge_cpu(per_delta, charge_counts[i])
-        if udf_charges:
-            charge_cpu(udf_cost, udf_charges)
-        self.memo_misses += misses
-        self.memo_hits += n - misses
 
     # -- emission ----------------------------------------------------------
     def _flush_key(self, key: tuple, group: _Group,

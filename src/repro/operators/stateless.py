@@ -15,7 +15,6 @@ from repro.common.deltas import Delta, DeltaOp
 from repro.common.errors import ExecutionError, RecoveryError
 from repro.common.punctuation import Punctuation
 from repro.operators.base import ExecContext, Operator, SourceOperator
-from repro.operators.blocks import ColumnBlock, columnar_kernel
 
 
 class TableScan(SourceOperator):
@@ -27,16 +26,9 @@ class TableScan(SourceOperator):
     read; CPU per tuple is charged by the parent on receipt.
     """
 
-    #: Lineage-driven column pruning (REX4xx): when the executor proves
-    #: an exact live-column set for this scan's output, blocks built here
-    #: carry it and never materialize dead columns.  ``None`` (the
-    #: default, and whenever the proof is inexact) disables pruning.
-    live_columns: Optional[frozenset] = None
-
     def __init__(self, table, name: Optional[str] = None):
         super().__init__(name or f"Scan({table.name})")
         self.table = table
-        self.blocks_emitted = 0
 
     def run_stratum(self, stratum: int) -> None:
         if stratum == 0:
@@ -48,14 +40,7 @@ class TableScan(SourceOperator):
         if len(partition):
             self.ctx.worker.charge_disk_seek()
             self.ctx.worker.charge_disk_bytes(partition.bytes)
-        if self.ctx.columnar and self.parent.accepts_blocks:
-            # Columnar fabric: one block, zero Delta constructions here.
-            rows = list(partition)
-            if rows:
-                self.blocks_emitted += 1
-                self.emit_block(ColumnBlock.from_rows(
-                    rows, live=self.live_columns))
-        elif self.ctx.batch:
+        if self.ctx.batch:
             insert = DeltaOp.INSERT
             self.emit_batch([Delta(insert, row) for row in partition])
         else:
@@ -112,11 +97,7 @@ class LocalSource(SourceOperator):
 
     def run_stratum(self, stratum: int) -> None:
         rows = self.rows_by_stratum.get(stratum, ())
-        if self.ctx.columnar and self.parent.accepts_blocks:
-            tuples = [tuple(row) for row in rows]
-            if tuples:
-                self.emit_block(ColumnBlock.from_rows(tuples))
-        elif self.ctx.batch:
+        if self.ctx.batch:
             self.emit_batch([Delta(DeltaOp.INSERT, tuple(row)) for row in rows])
         else:
             for row in rows:
@@ -137,15 +118,12 @@ class Filter(Operator):
     #: per-delta REPLACE-straddle test entirely.
     proof_no_replace: bool = False
 
-    accepts_blocks = True
-
     def __init__(self, predicate: Callable[[tuple], bool],
                  name: Optional[str] = None, per_tuple_cost=None,
                  udf_calls: int = 0):
         super().__init__(name or "Filter")
         self.predicate = predicate
         self.udf_calls = udf_calls
-        self.block_batches = 0
         if per_tuple_cost is not None:
             self.per_tuple_cost = per_tuple_cost
 
@@ -208,72 +186,6 @@ class Filter(Operator):
             return
         self.emit_batch(self.transform_batch(deltas))
 
-    @columnar_kernel
-    def transform_block(self, block: ColumnBlock) -> ColumnBlock:
-        """Whole-column filter kernel: one predicate pass builds the
-        selection mask, C-level ``compress`` applies it to every column
-        vector at once.  Charges are identical to
-        :meth:`transform_batch` (one batch CPU charge; predicate calls
-        are covered by ``per_tuple_cost``)."""
-        self.ctx.charge_tuple_batch(len(block), self.per_tuple_cost)
-        predicate = self.predicate
-        rows = block.rows
-        replace = DeltaOp.REPLACE
-        if (self.proof_no_replace
-                or (block.kind is not None and block.kind is not replace)
-                or (block.kind is None and replace not in block.kinds)):
-            mask = list(map(predicate, rows))
-            if all(mask):
-                return block  # blocks are immutable: reuse, zero copies
-            return block.compress(mask)
-        # REPLACE-bearing block: per-entry old/new straddle handling,
-        # mirroring transform_batch's decomposition exactly.
-        out_rows: List[tuple] = []
-        out_kinds: List[DeltaOp] = []
-        out_olds: List[Optional[tuple]] = []
-        out_payloads: List = []
-        any_old = any_payload = False
-        insert, delete = DeltaOp.INSERT, DeltaOp.DELETE
-        for op, row, old, payload in block.entries():
-            if op is replace:
-                new_ok = bool(predicate(row))
-                old_ok = bool(predicate(old))
-                if new_ok and old_ok:
-                    out_rows.append(row)
-                    out_kinds.append(replace)
-                    out_olds.append(old)
-                    out_payloads.append(None)
-                    any_old = True
-                elif new_ok:
-                    out_rows.append(row)
-                    out_kinds.append(insert)
-                    out_olds.append(None)
-                    out_payloads.append(None)
-                elif old_ok:
-                    out_rows.append(old)
-                    out_kinds.append(delete)
-                    out_olds.append(None)
-                    out_payloads.append(None)
-            elif predicate(row):
-                out_rows.append(row)
-                out_kinds.append(op)
-                out_olds.append(None)
-                out_payloads.append(payload)
-                if payload is not None:
-                    any_payload = True
-        return ColumnBlock(out_rows, kinds=out_kinds,
-                           olds=out_olds if any_old else None,
-                           payloads=out_payloads if any_payload else None,
-                           live=block.live, names=block.names)
-
-    def push_block(self, block, port: int = 0) -> None:
-        if not block:
-            return
-        self.block_batches += 1
-        out = self.transform_block(block)
-        if out:
-            self.emit_block(out)
-
 
 class Project(Operator):
     """π: maps each delta's row(s) through a compiled row function."""
@@ -281,13 +193,10 @@ class Project(Operator):
     #: See :attr:`Filter.proof_no_replace`.
     proof_no_replace: bool = False
 
-    accepts_blocks = True
-
     def __init__(self, row_fn: Callable[[tuple], tuple],
                  name: Optional[str] = None):
         super().__init__(name or "Project")
         self.row_fn = row_fn
-        self.block_batches = 0
 
     def process(self, delta: Delta, port: int) -> None:
         if delta.op is DeltaOp.REPLACE:
@@ -324,36 +233,6 @@ class Project(Operator):
             return
         self.emit_batch(self.transform_batch(deltas))
 
-    @columnar_kernel
-    def transform_block(self, block: ColumnBlock) -> ColumnBlock:
-        """Whole-column projection: one C-driven ``map`` over the row
-        vector; polarity and payload vectors carry over untouched.  The
-        row function reshapes columns arbitrarily, so the output block
-        drops the input's lineage/live metadata."""
-        self.ctx.charge_tuple_batch(len(block), self.per_tuple_cost)
-        row_fn = self.row_fn
-        rows = block.rows
-        replace = DeltaOp.REPLACE
-        if (self.proof_no_replace
-                or (block.kind is not None and block.kind is not replace)
-                or (block.kind is None and replace not in block.kinds)):
-            return ColumnBlock(list(map(row_fn, rows)), kind=block.kind,
-                               kinds=block.kinds, payloads=block.payloads)
-        if block.kind is replace:
-            return ColumnBlock(list(map(row_fn, rows)), kind=replace,
-                               olds=list(map(row_fn, block.olds)))
-        olds = block.olds or [None] * len(rows)
-        return ColumnBlock(
-            list(map(row_fn, rows)), kinds=block.kinds,
-            olds=[None if old is None else row_fn(old) for old in olds],
-            payloads=block.payloads)
-
-    def push_block(self, block, port: int = 0) -> None:
-        if not block:
-            return
-        self.block_batches += 1
-        self.emit_block(self.transform_block(block))
-
 
 class ApplyFunction(Operator):
     """Invokes a user-defined function over each tuple (Section 3.2).
@@ -375,8 +254,6 @@ class ApplyFunction(Operator):
     #: See :attr:`Filter.proof_no_replace`.
     proof_no_replace: bool = False
 
-    accepts_blocks = True
-
     def __init__(self, udf, arg_fn: Callable[[tuple], tuple],
                  mode: str = "extend", delta_aware: bool = False,
                  name: Optional[str] = None):
@@ -388,7 +265,6 @@ class ApplyFunction(Operator):
         self.mode = mode
         self.delta_aware = delta_aware
         self.calls = 0
-        self.block_batches = 0
 
     def _charge_call(self) -> None:
         self.calls += 1
@@ -497,42 +373,3 @@ class ApplyFunction(Operator):
         if not deltas:
             return
         self.emit_batch(self.transform_batch(deltas))
-
-    @columnar_kernel
-    def transform_block(self, block: ColumnBlock) -> ColumnBlock:
-        """Columnar UDF application.  The hot shape — scalar UDF in
-        ``extend`` mode over a REPLACE-free block — runs as one
-        list-comprehension pass with a single batched call charge.  The
-        general shapes (delta-aware, table-valued, REPLACE traffic)
-        route through :meth:`transform_batch`, whose bodies already
-        charge the oracle's multiset, and re-columnarize the output."""
-        udf = self.udf
-        replace = DeltaOp.REPLACE
-        scalar_extend = (not self.delta_aware and self.mode == "extend"
-                         and not getattr(udf, "table_valued", False))
-        no_replace = (self.proof_no_replace
-                      or (block.kind is not None and block.kind is not replace)
-                      or (block.kind is None and replace not in block.kinds))
-        if not (scalar_extend and no_replace):
-            return ColumnBlock.from_deltas(
-                self.transform_batch(block.to_deltas()))
-        ctx = self.ctx
-        n = len(block)
-        ctx.charge_tuple_batch(n, self.per_tuple_cost)
-        per_call = getattr(udf, "per_call_cost", None)
-        call_cost = (per_call(ctx.cost) if per_call is not None
-                     else ctx.cost.udf_cost_per_tuple(batched=True))
-        arg_fn = self.arg_fn
-        out_rows = [row + (udf(*arg_fn(row)),) for row in block.rows]
-        self.calls += n
-        ctx.charge_cpu(call_cost, n)
-        return ColumnBlock(out_rows, kind=block.kind, kinds=block.kinds,
-                           payloads=block.payloads)
-
-    def push_block(self, block, port: int = 0) -> None:
-        if not block:
-            return
-        self.block_batches += 1
-        out = self.transform_block(block)
-        if out:
-            self.emit_block(out)

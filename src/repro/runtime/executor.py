@@ -11,7 +11,7 @@ punctuation, replicates each stratum's Δᵢ set for incremental recovery
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.cluster.cluster import Cluster
@@ -59,6 +59,13 @@ from repro.runtime.plan import (
 )
 
 _attempt_counter = itertools.count()
+
+#: Strata whose admitted Δ-set is at or below this size take the
+#: small-stratum turnover path on quiet runs (no obs, sanitizer,
+#: perturbation or scheduled failure): empty feedback and
+#: checkpoint-replication work is elided instead of walked.  Wall-clock
+#: only; simulated metrics are unchanged at any value.
+SMALL_STRATUM_THRESHOLD = 64
 
 
 @dataclass
@@ -120,21 +127,11 @@ class ExecOptions:
     under a seed.  Used by the determinism checker to hunt schedule races;
     ``None`` leaves the schedule alone."""
     fuse: bool = True
-    """Fused kernels + engine fast paths: collapse maximal stateless
-    operator chains into :class:`~repro.operators.fused.FusedKernel`
-    pipelines (:mod:`repro.optimizer.fusion`) and enable the
-    metric-preserving fabric fast paths — bulk punctuation-fanout
-    accounting, the observer-free drain loop, checkpoint route/wire-size
-    memoization, and the small-stratum turnover path.  Simulated metrics
-    are bit-identical on or off (enforced by tests and the wallclock
-    harness); only wall clock changes.  Set False for the unfused
-    baseline, mirroring how ``batch`` landed."""
-    small_stratum_threshold: int = 64
-    """Strata whose admitted Δ-set is at or below this size take the
-    small-stratum turnover path when ``fuse`` is on and no
-    obs/sanitizer/perturbation hooks are attached: empty feedback and
-    checkpoint-replication work is elided instead of walked.  Wall-clock
-    knob only; simulated metrics are unchanged at any value."""
+    """Plan fusion: collapse maximal stateless operator chains into
+    :class:`~repro.operators.fused.FusedKernel` pipelines
+    (:func:`repro.optimizer.fusion.fuse_plan`).  Simulated metrics are
+    bit-identical on or off (enforced by tests); only wall clock
+    changes."""
     flight: bool = True
     """Keep a :class:`repro.obs.flight.FlightRecorder` for this run (the
     default).  The recorder appends one breadcrumb per stratum boundary
@@ -175,21 +172,6 @@ class ExecOptions:
     plans where nothing fires (all three original bench workloads) keep
     :meth:`QueryMetrics.fingerprint` bit-identical as well.  Applied and
     declined candidates are recorded in ``rewrite_decisions``."""
-    columnar: bool = False
-    """Columnar execution backend: sources emit
-    :class:`~repro.operators.blocks.ColumnBlock` batches (column-major
-    row/polarity/payload vectors with lineage-pruned column
-    materialization) and block-capable operators — Filter, Project,
-    ApplyFunction, fused stateless chains, the local half of Rehash, and
-    GroupBy — run whole-column ``push_block`` kernels.  Stateful
-    operators without a columnar kernel (HashJoin, Fixpoint, the
-    exchange receiver) consume block traffic through the block→row
-    boundary adapter, so the row path stays the oracle:
-    :meth:`QueryMetrics.fingerprint` is bit-identical columnar on or off
-    across the fuse×absint×sanitize matrix (enforced by tests and the
-    wallclock harness); only wall clock changes.  Requires ``batch``;
-    under an attached sanitizer the row path runs regardless (its
-    delta-invariant wrappers hook ``push_batch``)."""
 
 
 @dataclass
@@ -256,6 +238,8 @@ class QueryExecutor:
         self._hooks = _MetricsHooks()
         self._exchange_names: Dict[int, str] = {}
         self._attempt = next(_attempt_counter)
+        self._collect_exchange = f"collect.a{self._attempt}"
+        self._ckpt_exchange = f"ckpt.a{self._attempt}"
         self._fixpoint_key_fn = None
         self._plan: Optional[PhysicalPlan] = None
         self.sanitizer = None
@@ -267,17 +251,13 @@ class QueryExecutor:
         #: records from the rewrite pass (empty when ``rewrite=False`` /
         #: no candidates).
         self.rewrite_decisions: List = []
-        # Checkpoint-replication route memo (fuse fast path): fixpoint key
-        # -> tuple of replica targets, invalidated on ring-snapshot change.
+        # Checkpoint-replication route memo: fixpoint key -> tuple of
+        # replica targets, invalidated on ring-snapshot change.
         self._replica_memo: Dict = {}
         self._replica_memo_version: Optional[int] = None
         # Every fixpoint key ever checkpointed: used to detect, on
         # recovery, ranges whose replicas have all been lost.
         self._checkpointed_keys: set = set()
-        # Table name -> frozenset of live column positions (lineage
-        # pruning for columnar scans); populated in _instantiate only
-        # when the columnar fabric is armed.
-        self._scan_live: Dict[str, frozenset] = {}
 
     # ------------------------------------------------------------------
     # Plan instantiation
@@ -292,8 +272,15 @@ class QueryExecutor:
                 self._exchange_names[id(node)] = (
                     f"x{next(counter)}.a{self._attempt}"
                 )
-        self._collect_exchange = f"collect.a{self._attempt}"
-        self._ckpt_exchange = f"ckpt.a{self._attempt}"
+
+    def _release_exchanges(self) -> None:
+        """Unregister every network handler this query registered (its
+        rehash receivers, the collect sink and the checkpoint stream), so
+        a long-lived cluster does not keep finished operator trees
+        reachable.  Idempotent."""
+        self.cluster.network.unregister_exchanges(
+            [*self._exchange_names.values(), self._collect_exchange,
+             self._ckpt_exchange])
 
     def _instantiate(self, plan: PhysicalPlan) -> None:
         self._plan = plan
@@ -359,18 +346,7 @@ class QueryExecutor:
         # multisets exactly, but they bypass the hook points a
         # perturbation rewires — so they arm only on unperturbed runs.
         # (Paths that need observer==None additionally check that live.)
-        fuse_fabric = self.options.fuse and self.options.perturb is None
-        self.cluster.network.fast_path = fuse_fabric
-        # The columnar fabric needs batch mode and no sanitizer: the
-        # sanitizer's delta-invariant wrappers hook push_batch, so block
-        # traffic would flow around them — the row oracle runs instead
-        # (identical fingerprints by construction, pinned by tests).
-        # Obs is fine: push_block is instrumented like push_batch.
-        columnar_fabric = (self.options.columnar and self.options.batch
-                           and self.sanitizer is None
-                           and self.options.perturb is None)
-        self._scan_live = self._infer_scan_live(exec_root) \
-            if columnar_fabric else {}
+        self.cluster.network.fast_path = self.options.perturb is None
         for node_id in live:
             worker = self.cluster.worker(node_id)
             if obs is not None:
@@ -378,8 +354,7 @@ class QueryExecutor:
             ctx = ExecContext(worker, cluster=self.cluster,
                               snapshot=self.snapshot, hooks=self._hooks,
                               batch=self.options.batch, obs=obs,
-                              sanitizer=self.sanitizer, fuse=fuse_fabric,
-                              columnar=columnar_fabric)
+                              sanitizer=self.sanitizer)
             wp = _WorkerPlan(node_id)
             self.worker_plans[node_id] = wp
             self._build(exec_root, None, ctx, wp, len(live))
@@ -424,40 +399,6 @@ class QueryExecutor:
             return
         for child in node.children:
             self._build(child, op, ctx, wp, n_live, in_recursive)
-
-    def _infer_scan_live(self, exec_root: PNode) -> Dict[str, frozenset]:
-        """Lineage-driven column pruning map for columnar scans.
-
-        Runs the REX4xx column-lineage analysis over the tree the
-        executor builds from and keeps, per *table name*, the union of
-        the exact ``Live`` sets on its scans' output edges.  A scan
-        whose demand is inexact (a row escaped into an opaque consumer)
-        disables pruning for that table entirely — full rows are always
-        carried; the live set only gates which columns a
-        :class:`~repro.operators.blocks.ColumnBlock` will materialize.
-        Analysis failures degrade to "no pruning", never to an error.
-        """
-        try:
-            from repro.analysis.lineage import infer_lineage
-            table_arity = {
-                name: len(self.cluster.catalog.get(name).schema.fields)
-                for name in self.cluster.catalog.names()
-            }
-            facts, _ = infer_lineage(exec_root, table_arity=table_arity)
-            live: Dict[str, Optional[frozenset]] = {}
-            for node in exec_root.walk():
-                if not isinstance(node, PScan):
-                    continue
-                lin = facts.of(node)
-                if lin is None or not lin.live.exact:
-                    live[node.table] = None
-                elif live.get(node.table, frozenset()) is not None:
-                    live[node.table] = (live.get(node.table, frozenset())
-                                        | lin.live.cols)
-            return {name: cols for name, cols in live.items()
-                    if cols is not None}
-        except Exception:  # pragma: no cover - analysis must never abort
-            return {}
 
     def _make_operator(self, node: PNode, ctx: ExecContext, wp: _WorkerPlan):
         op = self._create_operator(node, ctx, wp)
@@ -518,7 +459,6 @@ class QueryExecutor:
             return Collect(exchange=self._collect_exchange)
         if isinstance(node, PScan):
             scan = TableScan(self.cluster.catalog.get(node.table))
-            scan.live_columns = self._scan_live.get(node.table)
             wp.sources.append(scan)
             return scan
         if isinstance(node, PFeedback):
@@ -606,6 +546,8 @@ class QueryExecutor:
                 except AttributeError:  # slotted exception classes
                     pass
             raise
+        finally:
+            self._release_exchanges()
         self.metrics.result_rows = len(rows)
         obs = self.options.obs
         if self.sanitizer is not None and obs is not None:
@@ -643,9 +585,8 @@ class QueryExecutor:
         # the small-stratum turnover below elide work — and only work that
         # is a no-op on simulated metrics by construction (an empty Δ-set
         # under delta feedback has nothing to move or replicate).
-        quiet = (opts.fuse and obs is None and sanitizer is None
+        quiet = (obs is None and sanitizer is None
                  and perturb is None and not failures_by_stratum)
-        small_threshold = opts.small_stratum_threshold
         delta_feedback = opts.feedback_mode == "delta"
         plans = self._live_plans()
         stratum = 0
@@ -674,7 +615,7 @@ class QueryExecutor:
 
             pending: Dict[int, List[Delta]] = {}
             if recursive:
-                small = quiet and admitted <= small_threshold
+                small = quiet and admitted <= SMALL_STRATUM_THRESHOLD
                 if not (small and delta_feedback and admitted == 0):
                     # Small-stratum fast path, terminal case: with delta
                     # feedback, zero admissions means every fixpoint's
@@ -770,10 +711,10 @@ class QueryExecutor:
         """Replicate each worker's Δᵢ set to its replica machines.
 
         Returns the number of messages shipped (so the caller can skip
-        draining an untouched fabric).  With ``fuse`` on, replica routes
-        are memoized per fixpoint key (invalidated when the ring snapshot
-        changes) and each delta's wire size is computed once and carried
-        on the message as a precomputed size segment —
+        draining an untouched fabric).  Replica routes are memoized per
+        fixpoint key (invalidated when the ring snapshot changes) and
+        each delta's wire size is computed once and carried on the
+        message as a precomputed size —
         :meth:`~repro.net.network.Message.size_bytes` would recount the
         identical bytes delta by delta.
         """
@@ -790,62 +731,43 @@ class QueryExecutor:
         network = self.cluster.network
         send = network.send
         sent = 0
-        memo = None
-        if self.options.fuse:
-            memo = self._replica_memo
-            if self._replica_memo_version != self.snapshot.version:
-                memo.clear()
-                self._replica_memo_version = self.snapshot.version
+        memo = self._replica_memo
+        if self._replica_memo_version != self.snapshot.version:
+            memo.clear()
+            self._replica_memo_version = self.snapshot.version
         for worker_id, deltas in pending.items():
             batches: Dict[int, List[Delta]] = {}
-            if memo is not None:
-                nbytes_by_dst: Dict[int, int] = {}
-                for delta in deltas:
-                    key = key_fn(delta.row)
-                    add_checkpointed(key)
-                    if sanitizer is not None:
-                        sanitizer.record_checkpoint(key, delta)
-                    replicas = memo.get(key)
-                    if replicas is None:
-                        replicas = memo[key] = tuple(
-                            original_replicas(normalize_key(key), rf)[1:])
-                    nbytes = 1 + row_bytes(delta.row)
-                    if delta.old is not None:
-                        nbytes += row_bytes(delta.old)
-                    if delta.payload is not None:
-                        nbytes += value_bytes(delta.payload)
-                    for replica in replicas:
-                        if replica != worker_id:
-                            batch = batches.get(replica)
-                            if batch is None:
-                                batches[replica] = [delta]
-                                nbytes_by_dst[replica] = nbytes
-                            else:
-                                batch.append(delta)
-                                nbytes_by_dst[replica] += nbytes
-                for dst, batch in batches.items():
-                    send(Message(
-                        src=worker_id, dst=dst,
-                        exchange=self._ckpt_exchange, deltas=batch,
-                        meta=nbytes_by_dst[dst] + PUNCT_BYTES,
-                    ))
-                    sent += 1
-            else:
-                for delta in deltas:
-                    key = key_fn(delta.row)
-                    add_checkpointed(key)
-                    if sanitizer is not None:
-                        sanitizer.record_checkpoint(key, delta)
-                    for replica in original_replicas(
-                            normalize_key(key), rf)[1:]:
-                        if replica != worker_id:
-                            batches.setdefault(replica, []).append(delta)
-                for dst, batch in batches.items():
-                    send(Message(
-                        src=worker_id, dst=dst,
-                        exchange=self._ckpt_exchange, deltas=batch,
-                    ))
-                    sent += 1
+            nbytes_by_dst: Dict[int, int] = {}
+            for delta in deltas:
+                key = key_fn(delta.row)
+                add_checkpointed(key)
+                if sanitizer is not None:
+                    sanitizer.record_checkpoint(key, delta)
+                replicas = memo.get(key)
+                if replicas is None:
+                    replicas = memo[key] = tuple(
+                        original_replicas(normalize_key(key), rf)[1:])
+                nbytes = 1 + row_bytes(delta.row)
+                if delta.old is not None:
+                    nbytes += row_bytes(delta.old)
+                if delta.payload is not None:
+                    nbytes += value_bytes(delta.payload)
+                for replica in replicas:
+                    if replica != worker_id:
+                        batch = batches.get(replica)
+                        if batch is None:
+                            batches[replica] = [delta]
+                            nbytes_by_dst[replica] = nbytes
+                        else:
+                            batch.append(delta)
+                            nbytes_by_dst[replica] += nbytes
+            for dst, batch in batches.items():
+                send(Message(
+                    src=worker_id, dst=dst,
+                    exchange=self._ckpt_exchange, deltas=batch,
+                    meta=nbytes_by_dst[dst] + PUNCT_BYTES,
+                ))
+                sent += 1
             if obs is not None and deltas:
                 obs.checkpoint_write(worker_id, len(deltas), len(batches))
         return sent
@@ -926,28 +848,8 @@ class QueryExecutor:
     def _restart(self, plan: PhysicalPlan) -> QueryResult:
         """Discard all progress; re-run the query on the surviving nodes."""
         wasted = self.metrics.total_seconds()
-        fresh_options = ExecOptions(
-            max_strata=self.options.max_strata,
-            feedback_mode=self.options.feedback_mode,
-            termination=self.options.termination,
-            checkpointing=self.options.checkpointing,
-            checkpoint_replication=self.options.checkpoint_replication,
-            failure=None,
-            recovery=self.options.recovery,
-            collect_result=self.options.collect_result,
-            batch=self.options.batch,
-            obs=self.options.obs,
-            sanitize=self.options.sanitize,
-            sanitize_seed=self.options.sanitize_seed,
-            perturb=self.options.perturb,
-            fuse=self.options.fuse,
-            small_stratum_threshold=self.options.small_stratum_threshold,
-            flight=self.options.flight,
-            flight_dir=self.options.flight_dir,
-            absint=self.options.absint,
-            rewrite=self.options.rewrite,
-            columnar=self.options.columnar,
-        )
+        self._release_exchanges()
+        fresh_options = replace(self.options, failure=None)
         retry = QueryExecutor(self.cluster, fresh_options)
         result = retry.execute(plan)
         result.metrics.recovery_seconds += wasted

@@ -36,6 +36,11 @@ class TestPageRank:
         for v in expected:
             assert scores[v] == pytest.approx(expected[v], rel=1e-6)
 
+    def test_empty_graph_matches_reference(self):
+        assert pagerank_reference([]) == {}
+        scores, _ = run_pagerank(graph_cluster([]), tol=0.0)
+        assert scores == {}
+
     def test_matches_networkx_on_generated_graph(self):
         edges = dbpedia_like(300, avg_out_degree=6, seed=11)
         cluster = graph_cluster(edges)

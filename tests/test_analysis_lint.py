@@ -256,62 +256,6 @@ class TestNoqa:
         assert codes(source) == ["REX102"]
 
 
-class TestREX108ColumnarKernelDictIdioms:
-    def test_flags_string_subscript_in_kernel(self):
-        assert codes("""
-            from repro.operators.blocks import columnar_kernel
-
-            @columnar_kernel
-            def transform_block(self, block):
-                return [row["col"] for row in block.rows]
-        """) == ["REX108"]
-
-    def test_flags_items_loop_in_kernel(self):
-        assert codes("""
-            @columnar_kernel
-            def push_block(self, block, port=0):
-                for row in block.rows:
-                    for name, value in row.items():
-                        self.emit_value(name, value)
-        """) == ["REX108"]
-
-    def test_flags_items_comprehension_in_kernel(self):
-        assert codes("""
-            @columnar_kernel
-            def transform_block(self, block):
-                return [v for row in block.rows for _, v in row.items()]
-        """) == ["REX108"]
-
-    def test_positional_access_is_clean(self):
-        assert codes("""
-            @columnar_kernel
-            def transform_block(self, block):
-                col = block.column(1)
-                return [row[0] + v for row, v in zip(block.rows, col)]
-        """) == []
-
-    def test_unregistered_functions_are_unconstrained(self):
-        assert codes("""
-            def per_row_helper(row):
-                return row["col"]
-        """) == []
-
-    def test_items_with_arguments_is_not_a_dict_view(self):
-        assert codes("""
-            @columnar_kernel
-            def push_block(self, block, port=0):
-                for entry in self.catalog.items(block):
-                    self.route(entry)
-        """) == []
-
-    def test_noqa_suppresses(self):
-        assert codes("""
-            @columnar_kernel
-            def transform_block(self, block):
-                return [row["col"] for row in block.rows]  # noqa: REX108
-        """) == []
-
-
 class TestRepoIsLintClean:
     """Satellite pin: src/ (including bench/ and hadoop/) stays clean."""
 

@@ -258,3 +258,64 @@ class TestPlanValidation:
         plan = reachability_plan()
         assert plan.tables() == ["edges", "start"]
         assert plan.is_recursive
+
+
+class TestHandlerRelease:
+    """A query unregisters the network handlers it registered (rehash
+    receivers, the collect sink, the checkpoint stream) however it ends,
+    so a long-lived session does not accumulate finished operator trees."""
+
+    SSSP = """
+        WITH SP (srcId, parent, dist) AS (
+          SELECT v, parent, dist FROM start
+        ) UNION ALL UNTIL FIXPOINT BY srcId (
+          SELECT nbr, ArgMin(parent, distOut).{id, dist}
+          FROM ( SELECT SPAgg(nbrId, dist).{nbr, parent, distOut}
+                 FROM graph, SP WHERE graph.srcId = SP.srcId
+                 GROUP BY srcId) GROUP BY nbr)
+    """
+
+    @pytest.mark.parametrize("recovery", ["incremental", "restart"])
+    def test_handlers_return_to_baseline(self, recovery):
+        from repro.algorithms import MonotoneMinDist, SPAgg, sssp_reference
+        from repro.datasets import dbpedia_like
+        from repro.rql import RQLSession
+        from repro.runtime import FailureSpec
+        from repro.udf import udf
+
+        edges = dbpedia_like(120, avg_out_degree=3, seed=5)
+        cluster = Cluster(5)
+        cluster.create_table("graph", ["srcId:Integer", "destId:Integer"],
+                             edges, "srcId", replication=3)
+        cluster.create_table(
+            "start", ["v:Integer", "parent:Integer", "dist:Double"],
+            [(0, -1, 0.0)], "v")
+        session = RQLSession(cluster)
+        session.register(SPAgg())
+        session.register(MonotoneMinDist)
+
+        @udf(in_types=["Integer"], out_types=["Integer"])
+        def explode(v):
+            raise ValueError("boom")
+
+        session.register(explode)
+        handlers = cluster.network._handlers
+        baseline = len(handlers)
+        for query in ("SELECT srcId, count(*) FROM graph GROUP BY srcId",
+                      "SELECT srcId, destId FROM graph WHERE destId > 3",
+                      "SELECT destId, count(*) FROM graph GROUP BY destId",
+                      "SELECT count(*) FROM graph"):
+            assert session.execute(query).rows
+            assert len(handlers) == baseline, query
+        with pytest.raises(ValueError, match="boom"):
+            session.execute("SELECT explode(srcId) FROM graph")
+        assert len(handlers) == baseline
+        options = ExecOptions(failure=FailureSpec(after_stratum=1),
+                              recovery=recovery)
+        result = session.execute(self.SSSP, options,
+                                 fixpoint_handler="MonotoneMinDist")
+        assert ({r[0]: r[2] for r in result.rows}
+                == {v: float(d) for v, d in sssp_reference(edges, 0).items()})
+        assert len(handlers) == baseline
+        assert session.execute("SELECT count(*) FROM graph").rows
+        assert len(handlers) == baseline
