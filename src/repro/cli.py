@@ -21,9 +21,7 @@ Five subcommands wrap the analysis and observability subsystems:
     python -m repro.cli flight flight-*.json [--format json]
 
 ``analyze`` prints the plan diagnostics without executing (exit 1 when
-any are error-level), followed by the physical plan's inferred
-properties, column lineage, rewrite decisions and fusion decisions (the
-same sections appear as keys in ``--format json``); ``lint`` runs the simulator-invariant linter over
+any are error-level); ``lint`` runs the simulator-invariant linter over
 source trees; ``check`` runs the determinism checker — the same built-in
 workload executed under K seeded schedule perturbations, diffed for
 result races (REX205/REX206, exit 1 on a race); ``telemetry`` runs a

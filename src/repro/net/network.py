@@ -123,11 +123,18 @@ class SimulatedNetwork:
             del self._handlers[key]
 
     def unregister_exchanges(self, exchanges) -> None:
-        """Drop the handlers of ``exchanges`` on every node.  Keys already
-        gone (e.g. dropped by :meth:`unregister_node`) are skipped."""
+        """Drop the handlers of ``exchanges`` on every node, and any queued
+        messages addressed to them (a query that raised mid-stratum can
+        leave mail behind).  Keys already gone (e.g. dropped by
+        :meth:`unregister_node`) are skipped."""
         names = set(exchanges)
         for key in [k for k in self._handlers if k[1] in names]:
             del self._handlers[key]
+        queue = self._queue
+        if queue:
+            kept = [m for m in queue if m.exchange not in names]
+            queue.clear()
+            queue.extend(kept)
 
     def revive_node(self, node: int) -> None:
         self._dead.discard(node)

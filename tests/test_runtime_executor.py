@@ -299,6 +299,18 @@ class TestHandlerRelease:
             raise ValueError("boom")
 
         session.register(explode)
+        # A key owned by the last worker: earlier workers have already
+        # shipped their rehash batches when the UDF raises on it.
+        late_key = next(s for s, _ in edges
+                        if cluster.ring.primary(s) == max(cluster.node_ids()))
+
+        @udf(in_types=["Integer"], out_types=["Integer"])
+        def explode_late(v):
+            if v == late_key:
+                raise ValueError("late boom")
+            return v
+
+        session.register(explode_late)
         handlers = cluster.network._handlers
         baseline = len(handlers)
         for query in ("SELECT srcId, count(*) FROM graph GROUP BY srcId",
@@ -309,6 +321,14 @@ class TestHandlerRelease:
             assert len(handlers) == baseline, query
         with pytest.raises(ValueError, match="boom"):
             session.execute("SELECT explode(srcId) FROM graph")
+        assert len(handlers) == baseline
+        with pytest.raises(ValueError, match="late boom"):
+            session.execute("SELECT destId, count(*) FROM graph "
+                            "WHERE explode_late(srcId) >= 0 GROUP BY destId")
+        assert len(handlers) == baseline
+        assert cluster.network.pending() == 0
+        assert session.execute(
+            "SELECT destId, count(*) FROM graph GROUP BY destId").rows
         assert len(handlers) == baseline
         options = ExecOptions(failure=FailureSpec(after_stratum=1),
                               recovery=recovery)
