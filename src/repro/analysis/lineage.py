@@ -21,8 +21,8 @@ Read-sets come from :mod:`repro.analysis.effects` — an AST extraction
 over the callable's source — cross-checked against any declared
 ``reads=`` metadata on UDFs and delta handlers.  The demand abstraction
 :class:`Live` carries an ``exact`` bit with the same soundness contract
-as absint's :class:`~repro.analysis.absint.Polarity`: verdicts and
-rewrites are built only on exact facts; an escape or an opaque callable
+as absint's :class:`~repro.analysis.absint.Polarity`: verdicts are
+built only on exact facts; an escape or an opaque callable
 widens to "assume everything is read" and the pass stays silent.
 
 Verdicts:
@@ -33,14 +33,15 @@ Verdicts:
   provably never reads (exact extractions only).
 * **REX403** — a key function reads a position beyond its input's known
   arity: the key column was projected away upstream (error).
-* **REX404** — a rewrite candidate was declined: the blocking effect
+* **REX404** — a rewrite candidate is blocked: the blocking effect
   (impurity, unknown reads, non-insert polarity) is named.
-* **REX405** — filter pushdown licensed below the node.
-* **REX406** — projection narrowing licensed through the exchange.
+* **REX405** — filter pushdown would be legal below the node.
+* **REX406** — projection narrowing would be legal through the exchange.
 * **REX407** — an opaque callable widened the analysis.
 
-The rewrite pass (:mod:`repro.optimizer.rewrite`) consumes the same
-inference: REX405/REX406 verdicts are exactly the licenses it spends.
+REX404-406 are advisory: the executor runs the plan the optimizer chose
+and applies none of them.  They tell the author of a hand-built plan
+which rewrites they may apply themselves.
 """
 
 from __future__ import annotations
@@ -310,9 +311,7 @@ class _PhysicalLineage:
                        f"{label} {'are' if len(dead) > 1 else 'is'} never "
                        "read by any downstream operator",
                        path,
-                       hint="drop the dead column(s) from the projection, "
-                            "or let ExecOptions(rewrite=True) narrow the "
-                            "plan when the polarity proof allows it")
+                       hint="drop the dead column(s) from the projection")
 
     def _check_declared(self, what: str, path: str, obj,
                         summary: EffectSummary) -> None:
@@ -831,9 +830,7 @@ def infer_lineage(plan: Union[LNode, PhysicalPlan, PNode],
 def _check_rewrite_licenses(root: PNode, lineage: PlanLineage,
                             diagnostics: List[Diagnostic]) -> None:
     """REX404/REX405/REX406: name the rewrites the facts license (or the
-    effect that blocks them).  These mirror the legality rules of
-    :func:`repro.optimizer.rewrite.rewrite_plan` exactly — the rewrite
-    pass spends precisely the licenses published here."""
+    effect that blocks them).  Advisory only: nothing applies them."""
     from repro.analysis.absint import INSERT_ONLY, infer as infer_polarity
 
     props, _ = infer_polarity(root)
@@ -868,8 +865,8 @@ def _check_rewrite_licenses(root: PNode, lineage: PlanLineage,
                     f"{width} column(s) is licensed "
                     "(insert-only polarity proven)",
                     location=lin.path,
-                    hint="ExecOptions(rewrite=True) inserts the "
-                         "truncation project below the exchange"))
+                    hint="project the stream to its first "
+                         f"{width} column(s) below the exchange"))
             else:
                 pol_name = (child_pol.out_polarity.name
                             if child_pol is not None else "unknown")
@@ -903,8 +900,8 @@ def _check_rewrite_licenses(root: PNode, lineage: PlanLineage,
                         f"{sorted(lin.reads or ())}, and the stream is "
                         "proven insert-only",
                         location=lin.path,
-                        hint="ExecOptions(rewrite=True) applies the "
-                             "pushdown"))
+                        hint="move the filter below "
+                             f"{below} to drop rows earlier"))
                 else:
                     diagnostics.append(make(
                         "REX404",

@@ -31,9 +31,9 @@ states globally:
   wrap the iterable in ``sorted(...)`` or carry a list.
 * **REX107** — a delta handler declaring ``reads=`` metadata whose
   ``update`` body reads a ``delta.row``/``delta.old`` position the
-  declaration omits.  The column-lineage analyzer and the rewrite pass
-  trust ``reads=`` as an upper bound; an under-declaration would
-  license narrowing a column the handler actually needs.  Extraction
+  declaration omits.  The column-lineage analyzer trusts ``reads=`` as
+  an upper bound; an under-declaration would license narrowing a column
+  the handler actually needs.  Extraction
   is conservative (only constant subscripts and tuple unpacks count as
   reads), so the rule is escape-silent: an aliased or escaping row
   never fires it.

@@ -42,7 +42,7 @@ import os
 import sys
 from typing import Dict, List, Optional
 
-from repro.bench.wallclock import check_rows_identity, run_fusion_benchmark
+from repro.bench.wallclock import run_fusion_benchmark
 
 #: Default slack for same-config absolute wall comparisons.
 DEFAULT_TOLERANCE = 0.25
@@ -65,9 +65,7 @@ def load_baseline(path: str) -> Dict:
 def baseline_wall(entry: Dict) -> Optional[float]:
     """The comparable wall-clock number from a baseline workload entry:
     columnar (BENCH_10), rewrite (BENCH_9), absint (BENCH_8), fused
-    (BENCH_5), or plain batch (BENCH_1) seconds.  BENCH_9's extra
-    ``wide_reach`` workload has no counterpart in the re-measured set;
-    it is held to row-set identity instead (see :func:`compare`)."""
+    (BENCH_5), or plain batch (BENCH_1) seconds."""
     for key in ("columnar_wall_seconds", "rewrite_wall_seconds",
                 "absint_wall_seconds", "fused_wall_seconds",
                 "batch_wall_seconds"):
@@ -78,21 +76,12 @@ def baseline_wall(entry: Dict) -> Optional[float]:
 
 def compare(current: Dict, baseline: Dict,
             tolerance: float = DEFAULT_TOLERANCE,
-            rel_tolerance: float = DEFAULT_REL_TOLERANCE,
-            row_identity: Optional[Dict[str, Dict]] = None) -> Dict:
+            rel_tolerance: float = DEFAULT_REL_TOLERANCE) -> Dict:
     """Gate ``current`` (a fresh BENCH_5-shape payload) against
     ``baseline``; returns the report dict (``report["ok"]`` is the
     verdict).  Fingerprint identity within the current run was already
-    enforced by the measurement itself.
-
-    Baseline workloads recorded with ``simulated_metrics_identical:
-    false`` (e.g. BENCH_9's ``wide_reach``, where a licensed rewrite
-    legitimately moves the simulated metrics) are *not* silently
-    exempt: they are held to row-set identity instead.  ``row_identity``
-    carries the fresh per-workload verdicts from
-    :func:`repro.bench.wallclock.check_rows_identity` (``run_gate``
-    measures them); a covered workload with no verdict — or a failed
-    one — fails the gate.
+    enforced by the measurement itself.  A baseline workload with no
+    re-measured counterpart (e.g. BENCH_9's ``wide_reach``) is skipped.
     """
     config_match = (bool(baseline.get("smoke", False))
                     == bool(current.get("smoke", False))
@@ -155,33 +144,9 @@ def compare(current: Dict, baseline: Dict,
             else:
                 row["verdict"] = "ok"
 
-    # Baseline-only workloads: a plain entry just has nothing to compare
-    # against, but a metric-non-identical one carries a weaker contract
-    # (same result set under the metric-moving pass) that must be
-    # re-verified, not waved through.
-    for name, base_entry in baseline["workloads"].items():
-        if name in current["workloads"]:
-            continue
-        if base_entry.get("simulated_metrics_identical", True):
+    for name in baseline["workloads"]:
+        if name not in current["workloads"]:
             report["skipped"].append(name)
-            continue
-        verdict = (row_identity or {}).get(name)
-        row = {"contract": "rows-identical"}
-        report["workloads"][name] = row
-        if verdict is None:
-            fail(f"{name}: baseline records simulated_metrics_identical="
-                 "false, so row-set identity must be re-verified — no "
-                 "verdict was measured (run the gate via run_gate/main, "
-                 "which drives check_rows_identity)")
-            row["verdict"] = "rows-identity-unverified"
-        elif not verdict.get("rows_identical"):
-            fail(f"{name}: result row set diverges under the rewrite pass "
-                 "— the one invariant a metric-non-identical workload "
-                 "must keep")
-            row["verdict"] = "rows-diverged"
-        else:
-            row["verdict"] = "rows-identical"
-            row["result_rows"] = verdict.get("result_rows")
 
     if not config_match and ratios:
         # Normalized gate: divide each ratio by the geomean so machine
@@ -213,19 +178,8 @@ def run_gate(baseline_path: str, smoke: bool = False, nodes: int = 8,
     baseline = load_baseline(baseline_path)
     current = run_fusion_benchmark(smoke=smoke, nodes=nodes, seed=seed,
                                    repeats=repeats, baseline_path=None)
-    # Fresh row-identity verdicts for baseline workloads the fusion
-    # re-measurement does not cover and fingerprints cannot gate.
-    row_identity: Dict[str, Dict] = {}
-    for name, entry in baseline["workloads"].items():
-        if (name not in current["workloads"]
-                and not entry.get("simulated_metrics_identical", True)):
-            try:
-                row_identity[name] = check_rows_identity(
-                    name, smoke=smoke, nodes=nodes, seed=seed)
-            except ValueError:
-                pass  # unknown workload: compare() reports it unverified
     report = compare(current, baseline, tolerance=tolerance,
-                     rel_tolerance=rel_tolerance, row_identity=row_identity)
+                     rel_tolerance=rel_tolerance)
     report["baseline_path"] = baseline_path
     report["current"] = current
     return report
@@ -279,10 +233,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             fh.write("\n")
     mode = report["mode"]
     for name, row in sorted(report["workloads"].items()):
-        if "wall_seconds" not in row:
-            print(f"{name}: {row.get('verdict', '?')} (row-set identity "
-                  "contract)")
-            continue
         detail = f"{row['wall_seconds']}s"
         if "baseline_wall_seconds" in row:
             detail += f" vs {row['baseline_wall_seconds']}s baseline"

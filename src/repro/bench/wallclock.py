@@ -34,17 +34,6 @@ writes the BENCH_8 payload; it also reports the sanitizer-downgrade
 effect (``sanitize="full"`` with and without proofs)::
 
     PYTHONPATH=src python -m repro.bench.wallclock --absint --out BENCH_8.json
-
-``--rewrites`` measures the lineage-directed rewrite pass
-(``ExecOptions(rewrite=...)``) and writes the BENCH_9 payload.  On the
-three standard workloads no rewrite is licensed (their streams carry δ
-updates), so the pass must be fingerprint-neutral — the run *fails*
-otherwise.  A fourth ``wide_reach`` workload (reachability over
-8-column edges joined on a non-partition key) is built so filter
-pushdown and exchange narrowing both fire; there the payload records
-the wire-bytes and shuffled-tuple reductions::
-
-    PYTHONPATH=src python -m repro.bench.wallclock --rewrites --out BENCH_9.json
 """
 
 from __future__ import annotations
@@ -53,7 +42,7 @@ import argparse
 import gc
 import json
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.algorithms import run_kmeans, run_pagerank, run_sssp
 from repro.algorithms.sssp import make_start_table
@@ -120,7 +109,7 @@ def _workloads(smoke: bool, nodes: int, seed: int
 
 def _time_run(make_runner: Callable, batch: bool, obs=None,
               sanitize: str = "off", fuse: bool = True, flight: bool = True,
-              absint: bool = True, rewrite: bool = True
+              absint: bool = True
               ) -> Tuple[float, float, QueryMetrics]:
     """Build a fresh cluster, then time one query execution.
 
@@ -134,8 +123,7 @@ def _time_run(make_runner: Callable, batch: bool, obs=None,
     runner = make_runner()
     setup_wall = time.perf_counter() - setup_start
     options = ExecOptions(batch=batch, obs=obs, sanitize=sanitize,
-                          fuse=fuse, flight=flight, absint=absint,
-                          rewrite=rewrite)
+                          fuse=fuse, flight=flight, absint=absint)
     gc_was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()
@@ -435,207 +423,6 @@ def run_absint_benchmark(smoke: bool = False, nodes: int = 8, seed: int = 7,
     return results
 
 
-# -- lineage-directed rewrites (BENCH_9) --------------------------------
-
-#: 8-column edge schema for the rewrite workload: only (src, dst) are
-#: ever read; the six payload columns exist to be narrowed away.
-WIDE_SCHEMA = ["src:Integer", "dst:Integer"] + \
-    [f"p{i}:Double" for i in range(6)]
-
-
-def _wide_vkey(row):
-    return (row[0],)
-
-
-def _wide_pred(row):
-    return row[1] % 2 == 0
-
-
-def _wide_dst(row):
-    return (row[1],)
-
-
-def _wide_rows(n_edges: int, n_vertices: int, seed: int):
-    import random
-
-    rng = random.Random(seed)
-    return [(rng.randrange(n_vertices), rng.randrange(n_vertices))
-            + tuple(float(i + k) for k in range(6))
-            for i in range(n_edges)]
-
-
-def _wide_setup(n_edges: int, n_vertices: int, nodes: int, seed: int,
-                rows_out: Optional[Dict] = None):
-    """Reachability over wide edges, built so both rewrites fire: the
-    edge table is partitioned by ``dst`` but joined on ``src``, so the
-    scan-side rehash genuinely moves 8-column rows that filter pushdown
-    halves and exchange narrowing truncates to 2 columns.
-
-    ``rows_out``, when given, collects the canonical (sorted) result
-    rows per ``options.rewrite`` flag — the row-set identity check that
-    replaces fingerprint identity for this deliberately
-    metric-non-identical workload."""
-    from repro.runtime import PhysicalPlan, QueryExecutor
-    from repro.runtime.plan import (PCollect, PFeedback, PFilter,
-                                    PFixpoint, PJoin, PProject, PRehash,
-                                    PScan)
-
-    cluster = fresh_cluster(nodes)
-    cluster.create_table("wide_edges", WIDE_SCHEMA,
-                         _wide_rows(n_edges, n_vertices, seed), "dst")
-    cluster.create_table("seeds", ["node:Integer"], [(0,)], "node")
-
-    def runner(options: ExecOptions) -> QueryMetrics:
-        edges = PFilter.over(
-            PRehash.by(PScan("wide_edges"), _wide_vkey), _wide_pred)
-        join = PJoin(left_key=_wide_vkey, right_key=_wide_vkey,
-                     children=(edges, PFeedback()))
-        recursive = PRehash.by(PProject.over(join, _wide_dst), _wide_vkey)
-        base = PRehash.by(PScan("seeds"), _wide_vkey)
-        root = PCollect(children=(
-            PFixpoint(key_fn=_wide_vkey, semantics="keyed",
-                      children=(base, recursive)),))
-        executor = QueryExecutor(cluster, options)
-        result = executor.execute(PhysicalPlan(root))
-        if rows_out is not None:
-            rows_out[bool(options.rewrite)] = sorted(result.rows)
-        return result.metrics
-
-    return runner
-
-
-def check_rows_identity(name: str, smoke: bool = False, nodes: int = 8,
-                        seed: int = 7) -> Dict:
-    """Row-set identity for a workload whose simulated metrics are *not*
-    rewrite-neutral (``simulated_metrics_identical: false``): run it
-    rewrite on and off once each and compare the canonical result rows.
-
-    The regression gate calls this for baseline entries it cannot hold
-    to fingerprint identity — silent exemption is not an option, so the
-    weaker-but-real contract (same result set) is re-verified instead.
-    Raises ``ValueError`` for a workload this harness does not know how
-    to drive.
-    """
-    if name != "wide_reach":
-        raise ValueError(f"no row-identity harness for workload {name!r}")
-    edges, vertices = (400, 80) if smoke else (12000, 1500)
-    rows: Dict[bool, List] = {}
-    make_runner = lambda: _wide_setup(edges, vertices, nodes, seed,  # noqa: E731
-                                      rows_out=rows)
-    for rewrite in (False, True):
-        _time_run(make_runner, batch=True, rewrite=rewrite)
-    return {
-        "workload": name,
-        "rows_identical": rows[True] == rows[False],
-        "result_rows": len(rows[True]),
-    }
-
-
-def run_rewrite_benchmark(smoke: bool = False, nodes: int = 8, seed: int = 7,
-                          repeats: int = 1) -> Dict:
-    """Rewrite pass on vs off; returns the BENCH_9 payload.
-
-    Two parts, all batch+fused:
-
-    * the three standard workloads — no rewrite is licensed on any of
-      them (their exchange inputs carry δ updates whose key-only rows
-      forbid narrowing, and their plans contain no filters), so the pass
-      must be *fingerprint-neutral*: the run fails (AssertionError) if
-      simulated metrics differ with ``rewrite`` on vs off.  The on-side
-      wall includes the lineage inference itself, so the reported ratio
-      is the net cost of running the analysis for nothing.
-    * ``wide_reach`` — a workload built so filter pushdown and exchange
-      narrowing both fire.  Simulated metrics legitimately differ
-      (that is the point: fewer, narrower rows cross the wire), so this
-      entry reports the wire-bytes and shuffled-tuple reductions plus a
-      result-cardinality identity check instead.
-    """
-    results: Dict = {
-        "benchmark": "wallclock-rewrite-vs-baseline",
-        "smoke": smoke,
-        "nodes": nodes,
-        "workloads": {},
-    }
-    for name, make_runner in _workloads(smoke, nodes, seed):
-        # Interleave on/off (alternating order per repeat) so monotone
-        # within-process drift penalizes both sides equally.
-        walls: Dict[bool, List[float]] = {True: [], False: []}
-        fps: Dict[bool, tuple] = {}
-        sim = None
-        for r in range(repeats):
-            order = (False, True) if r % 2 == 0 else (True, False)
-            for rewrite in order:
-                _, wall, m = _time_run(make_runner, batch=True,
-                                       rewrite=rewrite)
-                walls[rewrite].append(wall)
-                fps[rewrite] = _metrics_fingerprint(m)
-                sim = m
-        if fps[True] != fps[False]:
-            raise AssertionError(
-                f"{name}: simulated metrics diverge with the rewrite pass "
-                f"on — no rewrite is licensed here, so the pass must be "
-                f"neutral\non:  {fps[True]}\noff: {fps[False]}")
-        on_wall = min(walls[True])
-        off_wall = min(walls[False])
-        results["workloads"][name] = {
-            "rewrite_wall_seconds": round(on_wall, 4),
-            "no_rewrite_wall_seconds": round(off_wall, 4),
-            "speedup": round(speedup(off_wall, on_wall), 3),
-            "rewrites_applied": 0,
-            "simulated_seconds": sim.total_seconds(),
-            "strata": sim.num_iterations,
-            "simulated_metrics_identical": True,
-        }
-    results["geomean_speedup"] = round(_geomean(
-        [w["speedup"] for w in results["workloads"].values()]), 3)
-
-    if smoke:
-        wide_edges, wide_vertices = 400, 80
-    else:
-        wide_edges, wide_vertices = 12000, 1500
-    wide_rows: Dict[bool, List] = {}
-    make_wide = lambda: _wide_setup(wide_edges, wide_vertices, nodes, seed,  # noqa: E731
-                                    rows_out=wide_rows)
-    walls = {True: [], False: []}
-    metrics: Dict[bool, QueryMetrics] = {}
-    for r in range(repeats):
-        order = (False, True) if r % 2 == 0 else (True, False)
-        for rewrite in order:
-            _, wall, m = _time_run(make_wide, batch=True, rewrite=rewrite)
-            walls[rewrite].append(wall)
-            metrics[rewrite] = m
-    m_on, m_off = metrics[True], metrics[False]
-    if wide_rows[True] != wide_rows[False]:
-        raise AssertionError(
-            "wide_reach: result row set diverges with the rewrite pass on "
-            "— simulated metrics may move here, the result set may not")
-    if m_on.total_bytes() >= m_off.total_bytes():
-        raise AssertionError(
-            f"wide_reach: expected a wire-bytes win from narrowing, got "
-            f"{m_on.total_bytes()} vs {m_off.total_bytes()}")
-    on_wall = min(walls[True])
-    off_wall = min(walls[False])
-    results["workloads"]["wide_reach"] = {
-        "rewrite_wall_seconds": round(on_wall, 4),
-        "no_rewrite_wall_seconds": round(off_wall, 4),
-        "speedup": round(speedup(off_wall, on_wall), 3),
-        "bytes_sent": m_on.total_bytes(),
-        "bytes_sent_no_rewrite": m_off.total_bytes(),
-        "wire_bytes_reduction_pct": round(
-            (1.0 - m_on.total_bytes() / m_off.total_bytes()) * 100.0, 2),
-        "tuples_processed": m_on.total_tuples(),
-        "tuples_processed_no_rewrite": m_off.total_tuples(),
-        "result_rows": m_on.result_rows,
-        "simulated_seconds": m_on.total_seconds(),
-        "strata": m_on.num_iterations,
-        "simulated_metrics_identical": False,
-        # The contract this entry is held to instead of fingerprint
-        # identity (asserted above; the regress gate re-verifies it).
-        "rows_identical": True,
-    }
-    return results
-
-
 #: Configurations the telemetry benchmark times, in rotation order.
 _TELEMETRY_CONFIGS = ("plain", "flight", "obs", "telemetry")
 
@@ -774,11 +561,6 @@ def main(argv=None) -> int:
                              "proof-directed fast paths on vs off (the "
                              "BENCH_8 payload; fails if simulated metrics "
                              "differ)")
-    parser.add_argument("--rewrites", action="store_true",
-                        help="measure the lineage-directed rewrite pass on "
-                             "vs off (the BENCH_9 payload; fails if "
-                             "simulated metrics differ on the standard "
-                             "workloads, where no rewrite is licensed)")
     parser.add_argument("--baseline", default="BENCH_1.json",
                         help="with --fusion: BENCH_1-format JSON whose "
                              "recorded batch_wall_seconds serve as the "
@@ -787,14 +569,10 @@ def main(argv=None) -> int:
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
 
-    if sum((args.fusion, args.telemetry, args.absint, args.rewrites)) > 1:
-        parser.error("--fusion, --telemetry, --absint and --rewrites are "
-                     "mutually exclusive")
-    if args.rewrites:
-        results = run_rewrite_benchmark(smoke=args.smoke, nodes=args.nodes,
-                                        seed=args.seed,
-                                        repeats=args.repeats)
-    elif args.absint:
+    if sum((args.fusion, args.telemetry, args.absint)) > 1:
+        parser.error("--fusion, --telemetry and --absint are mutually "
+                     "exclusive")
+    if args.absint:
         results = run_absint_benchmark(smoke=args.smoke, nodes=args.nodes,
                                        seed=args.seed, repeats=args.repeats)
     elif args.telemetry:
@@ -817,19 +595,7 @@ def main(argv=None) -> int:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     print(text)
-    if args.rewrites:
-        for name, row in results["workloads"].items():
-            line = (f"{name}: {row['speedup']}x "
-                    f"({row['no_rewrite_wall_seconds']}s -> "
-                    f"{row['rewrite_wall_seconds']}s)")
-            if "wire_bytes_reduction_pct" in row:
-                line += (f", wire bytes -{row['wire_bytes_reduction_pct']}% "
-                         f"({row['bytes_sent_no_rewrite']} -> "
-                         f"{row['bytes_sent']})")
-            print(line)
-        print(f"geomean (standard workloads): "
-              f"{results['geomean_speedup']}x")
-    elif args.absint:
+    if args.absint:
         for name, row in results["workloads"].items():
             print(f"{name}: {row['speedup']}x bare "
                   f"({row['no_absint_wall_seconds']}s -> "

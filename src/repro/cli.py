@@ -422,7 +422,6 @@ def main_analyze(argv: List[str]) -> int:
     from repro.optimizer.exchanges import add_exchanges
     from repro.optimizer.fusion import fusion_report
     from repro.optimizer.physical import lower
-    from repro.optimizer.rewrite import rewrite_report
 
     args = build_analyze_parser().parse_args(argv)
     cluster = _build_cluster(args)
@@ -445,7 +444,6 @@ def main_analyze(argv: List[str]) -> int:
         table_arity = {name: len(cluster.catalog.get(name).schema.fields)
                        for name in cluster.catalog.names()}
         lineage = lineage_report(physical_root, table_arity=table_arity)
-        rewrites = rewrite_report(physical_root, table_arity=table_arity)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -454,7 +452,6 @@ def main_analyze(argv: List[str]) -> int:
         payload["fusion"] = fusion
         payload["properties"] = properties
         payload["lineage"] = lineage
-        payload["rewrites"] = rewrites
         print(json.dumps(payload, indent=2))
     elif args.format == "sarif":
         print(to_sarif(report, tool_name="repro-analyze"))
@@ -481,13 +478,6 @@ def main_analyze(argv: List[str]) -> int:
                         else "{" + ",".join(map(str, n["live"])) + "}")
                 width = f"/{n['out_arity']}" if "out_arity" in n else ""
                 print(f"  {n['path']}: live={live}{width}")
-        if rewrites:
-            print()
-            print("rewrite decisions (physical plan)")
-            for d in rewrites:
-                verdict = "applied" if d["applied"] else "declined"
-                print(f"  {d['path']}: {d['kind']} {verdict} — "
-                      f"{d['reason']}")
         if fusion:
             print()
             print("fusion decisions (physical plan)")
@@ -570,11 +560,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("\t".join("" if v is None else str(v) for v in row))
     if args.limit is not None and len(rows) > args.limit:
         print(f"... ({len(rows) - args.limit} more rows)", file=sys.stderr)
+    m = result.metrics
     if args.metrics:
-        m = result.metrics
+        ending = (f", ended: {m.termination_reason}"
+                  if m.termination_reason else "")
         print(f"-- {len(rows)} rows, {m.num_iterations} iterations, "
               f"{m.total_seconds():.4f}s simulated, "
-              f"{m.total_bytes()} bytes shuffled", file=sys.stderr)
+              f"{m.total_bytes()} bytes shuffled{ending}", file=sys.stderr)
+    if m.termination_reason == "strata_cap":
+        print(f"warning: recursive query stopped at the --max-strata cap "
+              f"({m.num_iterations} strata) before converging; the "
+              "result may be incomplete", file=sys.stderr)
     if obs is not None:
         if args.telemetry:
             from repro.obs.export import openmetrics, registry_json

@@ -35,6 +35,12 @@ class QueryMetrics:
     recovery_seconds: float = 0.0
     num_nodes: int = 1
     result_rows: int = 0
+    termination_reason: Optional[str] = None
+    """Why a recursive query's strata loop stopped: ``"converged"`` (a
+    stratum admitted no new deltas), ``"strata_cap"`` (it hit
+    ``ExecOptions.max_strata`` first) or ``"explicit"`` (the
+    ``ExecOptions.termination`` condition fired).  ``None`` for a
+    non-recursive query.  Not part of :meth:`fingerprint`."""
 
     def begin_iteration(self, stratum: int) -> IterationMetrics:
         it = IterationMetrics(stratum)

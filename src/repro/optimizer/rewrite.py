@@ -1,381 +1,12 @@
-"""Proof-directed plan rewrites: spend the lineage analysis.
+"""Stub kept only for the benchmark tracer.
 
-Two families, both gated on facts inferred by
-:mod:`repro.analysis.lineage` (column demand, predicate effects) and
-:mod:`repro.analysis.absint` (delta polarity):
-
-* **Filter pushdown** — a :class:`~repro.runtime.plan.PFilter` moves
-  below an exchange (fewer rows cross the wire), below a Project (the
-  predicate composes with the row function), below an extend-mode
-  ApplyFunction (the child prefix keeps its positions), or into the left
-  input of a plain hash join (the predicate reads only left columns).
-* **Exchange narrowing** — when only a prefix of the columns crossing a
-  non-broadcast :class:`~repro.runtime.plan.PRehash` is live downstream,
-  a truncating Project is inserted below the exchange so the wire
-  carries only that prefix.
-
-Legality is deliberately austere.  Every rewrite requires the stream it
-touches to be **proven insert-only with an exact polarity** — REPLACE
-straddles route and filter differently across a move, and UPDATE deltas
-from the bench handlers carry key-only rows narrower than the declared
-width, which truncation or late filtering would corrupt.  Filters move
-only when their predicate is pure (re-evaluation safe) with an exactly
-known read-set; narrowing only truncates a *suffix* (``row[:k]``),
-because downstream compiled callables address columns by fixed position.
-These are precisely the REX405/REX406 licenses the analyzer publishes;
-a candidate that fails a gate is recorded as a declined
-:class:`RewriteDecision` (the analyzer's REX404 mirror).
-
-The pass runs before fusion in the executor (``ExecOptions(rewrite=
-True)``, the default).  On plans where no rewrite fires — all three
-original bench workloads, by construction of their polarity — the tree
-is returned with identical object identity and ``QueryMetrics.
-fingerprint`` is bit-identical rewrite on or off.
+``perfbench/tracing.py`` imports this module and wraps
+:func:`rewrite_plan`; nothing in the engine calls it.  The cost-based
+optimizer alone shapes a query's physical plan, and the executor only
+fuses it.
 """
 
-from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
-
-from repro.analysis.absint import INSERT_ONLY, infer as infer_polarity
-from repro.analysis.lineage import infer_lineage
-from repro.common.deltas import DeltaOp
-from repro.runtime.plan import (
-    PApply,
-    PCollect,
-    PFilter,
-    PFixpoint,
-    PJoin,
-    PNode,
-    PProject,
-    PRehash,
-)
-
-#: Upper bound on pushdown sweeps: each sweep moves a filter at most one
-#: level, so this bounds how deep a filter can sink.
-MAX_SWEEPS = 8
-
-
-def _no_candidates(root: PNode) -> bool:
-    """True when a constant-time structural scan proves no rewrite can
-    *apply* to ``root`` — the executor then skips lineage/polarity
-    inference entirely, so a no-op rewrite pass costs nothing.
-
-    The proof obligations mirror the legality gates below:
-
-    * Filter pushdown needs a :class:`PFilter`; a plan without one has
-      no pushdown candidate at all.
-    * Exchange narrowing needs a non-broadcast single-child
-      :class:`PRehash` whose downstream demand is a strict column
-      prefix and whose input is proven insert-only.  A rehash feeding a
-      :class:`PFixpoint` or :class:`PCollect` directly is demanded at
-      full width (results keep every column), and a rehash draining a
-      handler join whose handler declares a non-insert
-      ``emits_polarity`` can never prove the insert-only gate — both
-      are structurally dead candidates.
-
-    Skipping is always sound: rewrites are optional optimizations and
-    the tree is returned untouched.  Only the decline *records* for the
-    structurally dead candidates are elided; :func:`rewrite_report`
-    (the analyzer/CLI path) still runs the thorough pass.
-    """
-    stack = [(root, None)]
-    while stack:
-        node, parent = stack.pop()
-        for child in node.children:
-            stack.append((child, node))
-        if isinstance(node, PFilter):
-            return False
-        if (isinstance(node, PRehash) and not node.broadcast
-                and len(node.children) == 1):
-            if isinstance(parent, (PCollect, PFixpoint)):
-                continue  # full-width demand: narrowing is moot
-            child = node.children[0]
-            if isinstance(child, PJoin) and child.handler_factory is not None:
-                try:
-                    handler = child.handler_factory()
-                except Exception:  # noqa: BLE001 - factories are user code
-                    handler = None
-                emits = getattr(handler, "emits_polarity", None)
-                if emits and not frozenset(emits) <= {DeltaOp.INSERT}:
-                    continue  # insert-only gate provably fails
-            return False
-    return True
-
-
-@dataclass(frozen=True)
-class RewriteDecision:
-    """One rewrite candidate and what the pass did with it."""
-
-    path: str
-    """Plan path of the candidate's topmost node (root-relative)."""
-    kind: str
-    """``filter-pushdown`` or ``narrow-exchange``."""
-    applied: bool
-    reason: str
-
-    def label(self) -> str:
-        return f"{self.kind}[{'applied' if self.applied else 'declined'}]"
-
-    def to_dict(self) -> dict:
-        return {
-            "path": self.path,
-            "kind": self.kind,
-            "applied": self.applied,
-            "reason": self.reason,
-        }
-
-
-def _node_kind(node: PNode) -> str:
-    name = type(node).__name__
-    return name[1:] if name.startswith("P") else name
-
-
-def _truncator(width: int):
-    """The inserted narrowing projection: keep the first ``width``
-    columns.  Suffix truncation only — downstream compiled callables
-    address columns by fixed position, so renumbering is off the table.
-    """
-    return lambda row, _w=width: row[:_w]
-
-
-def _composed(predicate, row_fn):
-    """``predicate`` evaluated on the projected row, for pushing a
-    filter below the Project that feeds it."""
-    return lambda row, _p=predicate, _f=row_fn: _p(_f(row))
-
-
-class _Rewriter:
-    """One sweep over the tree with lineage/polarity facts pinned.
-
-    Lookups are keyed by the *original* node identities of the tree the
-    facts were inferred on; rebuilt subtrees are fresh objects, so each
-    sweep re-infers before running (see :func:`rewrite_plan`).
-    """
-
-    def __init__(self, root: PNode,
-                 table_arity: Optional[Dict[str, int]],
-                 decisions: List[RewriteDecision]):
-        self.lineage, _ = infer_lineage(root, table_arity=table_arity)
-        self.props, _ = infer_polarity(root)
-        self.decisions = decisions
-        self.changed = False
-
-    def _insert_only(self, node: PNode) -> bool:
-        props = self.props.of(node)
-        return (props is not None
-                and props.out_polarity.proves(INSERT_ONLY))
-
-    def _decline(self, path: str, kind: str, reason: str) -> None:
-        self.decisions.append(RewriteDecision(
-            path=path, kind=kind, applied=False, reason=reason))
-
-    def _apply(self, path: str, kind: str, reason: str) -> None:
-        self.decisions.append(RewriteDecision(
-            path=path, kind=kind, applied=True, reason=reason))
-        self.changed = True
-
-    # -- filter pushdown --------------------------------------------------
-    def push_filters(self, node: PNode, path: str = "") -> PNode:
-        here = f"{path}/{_node_kind(node)}" if path else _node_kind(node)
-        rebuilt = tuple(self.push_filters(child, here)
-                        for child in node.children)
-        if isinstance(node, PFilter) and len(node.children) == 1:
-            pushed = self._push_one(node, rebuilt[0], here)
-            if pushed is not None:
-                return pushed
-        if rebuilt == node.children:
-            return node
-        return replace(node, children=rebuilt)
-
-    def _push_one(self, node: PFilter, below: PNode,
-                  here: str) -> Optional[PNode]:
-        """Move ``node`` below ``below`` (its rebuilt child) if legal;
-        None means no move.  Gate lookups use the original child
-        (``node.children[0]``) — same shape, valid fact keys."""
-        original_child = node.children[0]
-        lin = self.lineage.of(node)
-        if lin is None or not isinstance(
-                original_child, (PRehash, PProject, PApply, PJoin)):
-            return None
-        target = _node_kind(original_child)
-        kind = "filter-pushdown"
-        if isinstance(original_child, PRehash) and original_child.broadcast:
-            return None
-        if not (lin.pure and lin.reads_exact):
-            blocker = ("predicate is not provably pure"
-                       if lin.pure is not True
-                       else "predicate read-set could not be proven")
-            self._decline(here, kind, f"below {target}: {blocker}")
-            return None
-        if not self._insert_only(original_child):
-            self._decline(
-                here, kind,
-                f"below {target}: stream polarity not proven insert-only "
-                "(replace/update deltas route and filter differently "
-                "across the move)")
-            return None
-        reads = lin.reads or frozenset()
-
-        if isinstance(original_child, PRehash):
-            moved = replace(below, children=(
-                replace(node, children=(below.children[0],)),))
-            self._apply(here, kind,
-                        f"below {target}: pure predicate over "
-                        f"{sorted(reads)}, insert-only stream; rows are "
-                        "dropped before they cross the exchange")
-            return moved
-
-        if isinstance(original_child, PProject):
-            child_lin = self.lineage.of(original_child)
-            if child_lin is None or child_lin.pure is not True:
-                self._decline(here, kind,
-                              f"below {target}: projection row function "
-                              "is not provably pure")
-                return None
-            moved = replace(below, children=(PFilter(
-                predicate=_composed(node.predicate, below.row_fn),
-                children=(below.children[0],),
-                udf_calls=node.udf_calls),))
-            self._apply(here, kind,
-                        f"below {target}: predicate composed with the "
-                        "pure row function; rows are dropped before the "
-                        "projection runs")
-            return moved
-
-        if isinstance(original_child, PApply):
-            if original_child.mode != "extend":
-                self._decline(here, kind,
-                              f"below {target}: replace-mode apply does "
-                              "not preserve input column positions")
-                return None
-            grand = self.lineage.of(original_child.children[0])
-            child_arity = grand.out_arity if grand is not None else None
-            if child_arity is None or any(r >= child_arity for r in reads):
-                self._decline(here, kind,
-                              f"below {target}: predicate reads columns "
-                              "produced by the UDF (or the input width "
-                              "is unknown)")
-                return None
-            moved = replace(below, children=(
-                replace(node, children=(below.children[0],)),))
-            self._apply(here, kind,
-                        f"below {target}: predicate reads only the "
-                        f"pass-through prefix {sorted(reads)}; rows are "
-                        "dropped before the UDF runs")
-            return moved
-
-        # Plain hash join: predicate confined to left-input columns.
-        if original_child.handler_factory is not None:
-            self._decline(here, kind,
-                          f"below {target}: handler joins synthesize "
-                          "their output rows; no column provenance to "
-                          "push through")
-            return None
-        left = self.lineage.of(original_child.children[0])
-        left_arity = left.out_arity if left is not None else None
-        if left_arity is None or any(r >= left_arity for r in reads):
-            self._decline(here, kind,
-                          f"below {target}: predicate reads right-side "
-                          "columns (or the left width is unknown); only "
-                          "left-confined predicates push")
-            return None
-        if not self._insert_only(original_child.children[0]):
-            self._decline(here, kind,
-                          f"below {target}: left input polarity not "
-                          "proven insert-only")
-            return None
-        moved = replace(below, children=(
-            replace(node, children=(below.children[0],)),
-            below.children[1]))
-        self._apply(here, kind,
-                    f"below {target}: predicate reads only left columns "
-                    f"{sorted(reads)}; left rows are dropped before they "
-                    "enter the join state")
-        return moved
-
-    # -- exchange narrowing -----------------------------------------------
-    def narrow_exchanges(self, node: PNode, path: str = "") -> PNode:
-        here = f"{path}/{_node_kind(node)}" if path else _node_kind(node)
-        rebuilt = tuple(self.narrow_exchanges(child, here)
-                        for child in node.children)
-        node2 = node if rebuilt == node.children \
-            else replace(node, children=rebuilt)
-        if not (isinstance(node, PRehash) and not node.broadcast
-                and len(node.children) == 1):
-            return node2
-        kind = "narrow-exchange"
-        lin = self.lineage.of(node)
-        child_lin = self.lineage.of(node.children[0])
-        wanted = lin.in_live if lin is not None else None
-        child_arity = child_lin.out_arity if child_lin is not None else None
-        if wanted is None or not wanted.exact or not wanted.cols \
-                or child_arity is None:
-            return node2
-        width = max(wanted.cols) + 1
-        if width >= child_arity:
-            return node2
-        if not self._insert_only(node.children[0]):
-            self._decline(
-                here, kind,
-                f"live columns {sorted(wanted.cols)} of {child_arity}, "
-                "but stream polarity not proven insert-only: delta rows "
-                "may be key-only tuples narrower than the declared width")
-            return node2
-        self._apply(here, kind,
-                    f"only columns {sorted(wanted.cols)} of {child_arity} "
-                    f"are live downstream; truncating to row[:{width}] "
-                    "below the exchange")
-        return replace(node2, children=(
-            PProject(row_fn=_truncator(width),
-                     children=(node2.children[0],)),))
-
-
-def rewrite_plan(root: PNode,
-                 table_arity: Optional[Dict[str, int]] = None,
-                 *, thorough: bool = False
-                 ) -> Tuple[PNode, List[RewriteDecision]]:
-    """Apply every licensed rewrite; returns the (possibly new) root
-    plus one :class:`RewriteDecision` per candidate, applied or
-    declined.  Trees with no applicable rewrite come back with identical
-    object identity.
-
-    ``table_arity`` maps table names to column counts (the executor
-    passes the catalog's); without it scans have unknown width and
-    narrowing above them stays off.
-
-    By default the structural pre-gate (:func:`_no_candidates`) short-
-    circuits plans where no rewrite can apply — all three original
-    bench workloads, by construction of their handler polarity — before
-    any inference runs.  ``thorough=True`` (the analyzer/report path)
-    always runs the full pass so structurally dead candidates still get
-    their decline records.
-    """
-    decisions: List[RewriteDecision] = []
-    if not thorough and _no_candidates(root):
-        return root, decisions
-    sweep: Optional[_Rewriter] = None
-    for _ in range(MAX_SWEEPS):
-        sweep = _Rewriter(root, table_arity, decisions)
-        root = sweep.push_filters(root)
-        if not sweep.changed:
-            break
-    # The last sweep left the tree unchanged, so its facts still key the
-    # live node identities — reuse them instead of re-inferring.
-    final = sweep if sweep is not None and not sweep.changed \
-        else _Rewriter(root, table_arity, decisions)
-    root = final.narrow_exchanges(root)
-    # A candidate declined in sweep 1 is re-visited (and re-declined)
-    # by every later sweep; keep the first record of each decision.
-    return root, list(dict.fromkeys(decisions))
-
-
-def rewrite_report(root: PNode,
-                   table_arity: Optional[Dict[str, int]] = None
-                   ) -> List[dict]:
-    """The rewrite decisions for ``root`` as JSON-ready dicts (what
-    ``repro.cli analyze --format json`` embeds under ``"rewrites"``)."""
-    _, decisions = rewrite_plan(root, table_arity=table_arity,
-                                thorough=True)
-    return [d.to_dict() for d in decisions]
+def rewrite_plan(root, table_arity=None, **_):
+    """Return ``root`` unchanged with no rewrite decisions."""
+    return root, []

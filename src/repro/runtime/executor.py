@@ -159,19 +159,6 @@ class ExecOptions:
     changes.  The sanitizer additionally downgrades shadow replay to
     cheap polarity assertions on proven operators — a violated proof is
     escalated to a hard REX307 error."""
-    rewrite: bool = True
-    """Proof-directed plan rewrites from the column-lineage analysis
-    (:mod:`repro.analysis.lineage`, REX4xx): run
-    :func:`repro.optimizer.rewrite.rewrite_plan` over the physical tree
-    at instantiation (before fusion) and apply the rewrites its facts
-    license — filter pushdown below exchanges/projections/extend-applies
-    /plain joins, and suffix-truncating projection pushdown through
-    exchanges to shrink wire bytes.  Every rewrite requires a proven
-    insert-only exact polarity on the stream it touches plus pure,
-    exactly-extracted callables, so result rows are identical on or off;
-    plans where nothing fires (all three original bench workloads) keep
-    :meth:`QueryMetrics.fingerprint` bit-identical as well.  Applied and
-    declined candidates are recorded in ``rewrite_decisions``."""
 
 
 @dataclass
@@ -247,10 +234,6 @@ class QueryExecutor:
         #: Per-chain :class:`repro.optimizer.fusion.FusionDecision` records
         #: from the fusion pass (empty when ``fuse=False`` / no chains).
         self.fusion_decisions: List = []
-        #: Per-candidate :class:`repro.optimizer.rewrite.RewriteDecision`
-        #: records from the rewrite pass (empty when ``rewrite=False`` /
-        #: no candidates).
-        self.rewrite_decisions: List = []
         # Checkpoint-replication route memo: fixpoint key -> tuple of
         # replica targets, invalidated on ring-snapshot change.
         self._replica_memo: Dict = {}
@@ -290,21 +273,9 @@ class QueryExecutor:
             self.snapshot.mark_failed(dead)
         # Fusion runs after validation/analysis (those see the original
         # plan) and rewrites only what the executor builds from.  The
-        # rewritten tree contains fresh node objects, so exchange naming
-        # and operator construction both walk the *fused* root.
+        # fused tree contains fresh node objects, so exchange naming and
+        # operator construction both walk the *fused* root.
         exec_root = plan.root
-        self.rewrite_decisions = []
-        if self.options.rewrite:
-            # Rewrites run before fusion so inserted projections join the
-            # stateless chains fusion collapses.  Imported lazily like
-            # fusion below.
-            from repro.optimizer.rewrite import rewrite_plan
-            table_arity = {
-                name: len(self.cluster.catalog.get(name).schema.fields)
-                for name in self.cluster.catalog.names()
-            }
-            exec_root, self.rewrite_decisions = rewrite_plan(
-                exec_root, table_arity=table_arity)
         self.fusion_decisions = []
         if self.options.fuse:
             # Imported lazily: repro.optimizer pulls in planner modules
@@ -662,11 +633,18 @@ class QueryExecutor:
 
             if not recursive:
                 return None
-            stop = (admitted == 0
-                    or stratum + 1 >= opts.max_strata
-                    or (opts.termination is not None
-                        and opts.termination(stratum, self)))
-            if stop:
+            # Convergence wins over the cap when both hold at once.
+            if admitted == 0:
+                reason = "converged"
+            elif stratum + 1 >= opts.max_strata:
+                reason = "strata_cap"
+            elif (opts.termination is not None
+                    and opts.termination(stratum, self)):
+                reason = "explicit"
+            else:
+                reason = None
+            if reason is not None:
+                self.metrics.termination_reason = reason
                 return None
             for wp in plans:
                 if wp.feedback is not None and wp.worker_id in pending:

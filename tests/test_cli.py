@@ -13,6 +13,11 @@ def edges_csv(tmp_path):
     return str(path)
 
 
+REACH_QUERY = ("WITH R (srcId) AS (SELECT srcId FROM graph WHERE srcId = 0)"
+               " UNION UNTIL FIXPOINT BY srcId (SELECT destId FROM graph, R"
+               " WHERE graph.srcId = R.srcId)")
+
+
 @pytest.fixture
 def people_csv(tmp_path):
     path = tmp_path / "people.csv"
@@ -56,6 +61,23 @@ class TestCliExecution:
         assert rc == 0
         err = capsys.readouterr().err
         assert "iterations" in err and "simulated" in err
+
+    def test_metrics_flag_prints_termination_reason(self, edges_csv,
+                                                    capsys):
+        rc = main(["--table", f"graph={edges_csv}", "--metrics",
+                   REACH_QUERY])
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert "ended: converged" in err
+        assert "warning" not in err
+
+    def test_strata_cap_warns(self, edges_csv, capsys):
+        rc = main(["--table", f"graph={edges_csv}", "--max-strata", "1",
+                   REACH_QUERY])
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert "warning: recursive query stopped at the --max-strata cap" \
+            in err
 
     def test_explain_flag(self, edges_csv, capsys):
         rc = main(["--table", f"graph={edges_csv}", "--explain",
@@ -146,8 +168,7 @@ class TestAnalyzeAndLintFormats:
         polarities = {row["polarity"] for row in props}
         assert "insert-only" in polarities
 
-    def test_analyze_json_carries_lineage_and_rewrites(self, edges_csv,
-                                                       capsys):
+    def test_analyze_json_carries_lineage(self, edges_csv, capsys):
         payload = self._analyze(edges_csv, capsys, "json")
         lineage = payload["lineage"]
         assert lineage, "json payload must embed the column lineage"
@@ -156,10 +177,6 @@ class TestAnalyzeAndLintFormats:
         scan = next(row for row in lineage if row["label"] == "Scan")
         assert scan["out_arity"] == 2, (
             "the catalog's table width must reach the lineage report")
-        assert "rewrites" in payload, (
-            "json payload must list rewrite decisions (possibly empty)")
-        for dec in payload["rewrites"]:
-            assert {"path", "kind", "applied", "reason"} <= set(dec)
 
     def test_analyze_sarif_shape(self, edges_csv, capsys):
         doc = self._analyze(edges_csv, capsys, "sarif")

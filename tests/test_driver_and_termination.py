@@ -113,3 +113,46 @@ class TestTerminationHelpers:
                                               after_iterations(2)))
         _, m = run_pagerank(graph_cluster(), tol=0.0, options=opts)
         assert m.num_iterations == 3
+
+
+class TestTerminationReason:
+    def test_converged(self):
+        cluster = graph_cluster()
+        make_start_table(cluster, 0)
+        _, m = run_sssp(cluster)
+        assert m.termination_reason == "converged"
+
+    def test_convergence_wins_over_cap_in_the_same_stratum(self):
+        cluster = graph_cluster()
+        make_start_table(cluster, 0)
+        _, free = run_sssp(cluster)
+        _, capped = run_sssp(cluster, options=ExecOptions(
+            max_strata=free.num_iterations))
+        assert capped.num_iterations == free.num_iterations
+        assert capped.termination_reason == "converged"
+
+    def test_strata_cap(self):
+        _, m = run_pagerank(graph_cluster(), tol=0.01, max_strata=3)
+        assert m.num_iterations == 3
+        assert m.termination_reason == "strata_cap"
+
+    def test_explicit(self):
+        opts = ExecOptions(termination=after_iterations(3))
+        _, m = run_pagerank(graph_cluster(), tol=0.0, options=opts)
+        assert m.termination_reason == "explicit"
+
+    def test_non_recursive_has_none(self):
+        from repro.rql import RQLSession
+
+        result = RQLSession(graph_cluster()).execute(
+            "SELECT count(*) FROM graph")
+        assert result.metrics.termination_reason is None
+
+    def test_reason_is_not_fingerprinted(self):
+        """Stopping at stratum 3 by cap or by explicit condition does the
+        same simulated work: fingerprints match, reasons differ."""
+        explicit = ExecOptions(termination=after_iterations(3))
+        _, by_rule = run_pagerank(graph_cluster(), tol=0.0, options=explicit)
+        _, by_cap = run_pagerank(graph_cluster(), tol=0.0, max_strata=4)
+        assert by_rule.termination_reason != by_cap.termination_reason
+        assert by_rule.fingerprint() == by_cap.fingerprint()

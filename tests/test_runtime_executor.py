@@ -1,5 +1,7 @@
 """Integration tests: hand-built physical plans on the simulated cluster."""
 
+import sys
+
 import pytest
 
 from repro.cluster import Cluster
@@ -339,3 +341,40 @@ class TestHandlerRelease:
         assert len(handlers) == baseline
         assert session.execute("SELECT count(*) FROM graph").rows
         assert len(handlers) == baseline
+
+
+class TestPlanRunsAsChosen:
+    def test_execute_infers_no_lineage(self):
+        """The executor runs the optimizer's plan (plus fusion): no
+        column-lineage inference or callable-effect extraction happens at
+        execution time."""
+        from repro.analysis.effects import extract_effects
+        from repro.analysis.lineage import infer_lineage
+        from repro.datasets import lineitem
+        from repro.datasets.tpch import LINEITEM_SCHEMA
+        from repro.optimizer.physical import lower
+        from repro.rql import RQLSession
+
+        cluster = make_cluster()
+        cluster.create_table("lineitem", LINEITEM_SCHEMA,
+                             lineitem(200, seed=1),
+                             partition_key="orderkey")
+        plan = lower(RQLSession(cluster).logical_plan(
+            "SELECT linenumber, sum(tax) FROM lineitem "
+            "WHERE quantity > 10 GROUP BY linenumber"))
+        watched = {infer_lineage.__code__: "infer_lineage",
+                   extract_effects.__code__: "extract_effects"}
+        calls = {}
+
+        def profile(frame, event, arg):
+            name = watched.get(frame.f_code) if event == "call" else None
+            if name is not None:
+                calls[name] = calls.get(name, 0) + 1
+
+        sys.setprofile(profile)
+        try:
+            result = QueryExecutor(cluster).execute(plan)
+        finally:
+            sys.setprofile(None)
+        assert result.rows
+        assert calls == {}
