@@ -70,6 +70,22 @@ PAPER_CLAIMS: Dict[str, Dict[str, str]] = {
 }
 
 
+#: Measured results that miss a paper claim, with their cause.
+KNOWN_DEVIATIONS: List[str] = [
+    "- **Figure 4, `udf_overhead_pct`: 29.389% measured against the "
+    "paper's <= ~10%.** The cause is in the cost model. "
+    "`CostModel.udf_cost_per_tuple` charges each batched UDC call "
+    "`udf_call_cost / udf_batch_size + 0.25 * cpu_tuple_cost` = "
+    "4 µs / 64 + 0.5 µs = 0.5625 µs. Input batching amortizes only the "
+    "4 µs reflection term; the 0.5 µs marshalling term is paid on every "
+    "call. The UDF configuration calls the `line_gt1` predicate on every "
+    "row and `usersum` and `usercount` on the 6/7 of rows that pass: about "
+    "1.5 µs per row on top of about 4.9 µs of built-in cost per row. The "
+    "value is deterministic, and `benchmarks/test_fig04_simple_agg.py` "
+    "bounds it below 35% so drift fails.",
+]
+
+
 def generate(path: str = "EXPERIMENTS.md") -> str:
     lines: List[str] = [
         "# EXPERIMENTS — paper vs. measured",
@@ -104,6 +120,11 @@ def generate(path: str = "EXPERIMENTS.md") -> str:
         lines.append(f"- (experiment wall clock: {elapsed:.1f}s)")
         lines.append("")
         print(f"{result.figure} done in {elapsed:.1f}s", file=sys.stderr)
+
+    lines.append("## Known deviations")
+    lines.append("")
+    lines.extend(KNOWN_DEVIATIONS)
+    lines.append("")
 
     lines.append("## Ablations (design choices, not paper figures)")
     lines.append("")

@@ -217,7 +217,13 @@ class Cluster:
                      rows: Iterable[Sequence[Any]],
                      partition_key: Optional[str] = None,
                      replication: int = 1) -> PartitionedTable:
-        """Create, load, and register a partitioned table."""
+        """Create, load, and register a partitioned table.
+
+        ``replication`` applies only to keyed tables.  A table with
+        ``partition_key=None`` round-robins each row onto one node, so it
+        is unreplicated: losing a node that holds its rows raises
+        :class:`~repro.common.errors.RecoveryError` in either recovery mode.
+        """
         if not isinstance(schema, Schema):
             schema = Schema.of(*schema)
         table = PartitionedTable(name, schema, partition_key,

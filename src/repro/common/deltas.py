@@ -39,7 +39,6 @@ class DeltaOp(enum.Enum):
 
 # Bound once at module level: Delta.__init__ runs hundreds of thousands of
 # times per query, so every name it touches should be a single global load.
-_dset = object.__setattr__
 _REPLACE = DeltaOp.REPLACE
 _UPDATE = DeltaOp.UPDATE
 
@@ -71,10 +70,10 @@ class Delta:
         # Hand-written (init=False): deltas are constructed hundreds of
         # thousands of times per query, so field assignment and validation
         # share one frame instead of __init__ + __post_init__.
-        _dset(self, "op", op)
-        _dset(self, "row", row)
-        _dset(self, "old", old)
-        _dset(self, "payload", payload)
+        _set_op(self, op)
+        _set_row(self, row)
+        _set_old(self, old)
+        _set_payload(self, payload)
         if old is not None:
             if op is not _REPLACE:
                 raise ValueError(f"{op.name} delta must not carry old=")
@@ -122,6 +121,14 @@ class Delta:
         if self.op is DeltaOp.UPDATE:
             return f"Δδ(({row})|payload={self.payload!r})"
         return f"Δ{self.op.value}({row})"
+
+
+# The slot descriptors' bound setters write a field directly, bypassing the
+# frozen __setattr__ without object.__setattr__'s name lookup.
+_set_op = Delta.op.__set__
+_set_row = Delta.row.__set__
+_set_old = Delta.old.__set__
+_set_payload = Delta.payload.__set__
 
 
 def insert(row: Row) -> Delta:

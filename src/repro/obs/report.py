@@ -166,7 +166,9 @@ def explain_analyze(obs: ObsContext, metrics=None, per_node: bool = False,
         lines.append(f"total: {metrics.total_seconds():.4f}s simulated over "
                      f"{metrics.num_iterations} strata, "
                      f"{metrics.total_bytes()} bytes shuffled, "
-                     f"{metrics.total_tuples()} tuples processed")
+                     f"{metrics.total_tuples()} tuples processed"
+                     + (f", ended: {metrics.termination_reason}"
+                        if metrics.termination_reason else ""))
 
     fusion = obs.fusion_groups()
     if fusion:

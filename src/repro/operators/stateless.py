@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Sequence
 
 from repro.common.deltas import Delta, DeltaOp
-from repro.common.errors import ExecutionError, RecoveryError
+from repro.common.errors import ExecutionError
 from repro.common.punctuation import Punctuation
 from repro.operators.base import ExecContext, Operator, SourceOperator
 
@@ -22,8 +22,10 @@ class TableScan(SourceOperator):
 
     Emits every row as an insertion delta during stratum 0, then bare
     punctuation in later strata (base data does not change between strata;
-    downstream join state persists).  Disk time is charged for the bytes
-    read; CPU per tuple is charged by the parent on receipt.
+    downstream join state persists).  The insertion deltas are the
+    partition's shared :meth:`~repro.storage.tables.Partition.insert_deltas`,
+    built on the first scan, not per query.  Disk time is charged for the
+    bytes read; CPU per tuple is charged by the parent on receipt.
     """
 
     def __init__(self, table, name: Optional[str] = None):
@@ -36,17 +38,25 @@ class TableScan(SourceOperator):
         self.forward_punctuation_from_source(stratum)
 
     def _emit_partition(self) -> None:
+        worker = self.ctx.worker
         partition = self.table.partition(self.ctx.node_id)
         if len(partition):
-            self.ctx.worker.charge_disk_seek()
-            self.ctx.worker.charge_disk_bytes(partition.bytes)
+            worker.charge_disk_seek()
+            worker.charge_disk_bytes(partition.bytes)
+        self._emit_inserts(partition.insert_deltas())
+        takeover = self._takeover_deltas()
+        if takeover:
+            worker.charge_disk_seek()
+            self._emit_inserts(takeover)
+
+    def _emit_inserts(self, deltas: Sequence[Delta]) -> None:
+        """Emit a partition's shared insertion deltas.  The batch path hands
+        over a copy: a consumer may keep or extend the list it receives."""
         if self.ctx.batch:
-            insert = DeltaOp.INSERT
-            self.emit_batch([Delta(insert, row) for row in partition])
+            self.emit_batch(list(deltas))
         else:
-            for row in partition:
-                self.emit(Delta(DeltaOp.INSERT, row))
-        self._emit_takeover_rows()
+            for delta in deltas:
+                self.emit(delta)
 
     def reemit_for_recovery(self) -> None:
         """Re-read this worker's partition (plus any takeover ranges it now
@@ -55,33 +65,25 @@ class TableScan(SourceOperator):
         that was reset after a failure."""
         self._emit_partition()
 
-    def _emit_takeover_rows(self) -> None:
-        """Serve ranges whose original primary is dead (post-failure
-        restart): this node emits the replica copies it now owns."""
+    def _takeover_deltas(self) -> List[Delta]:
+        """Ranges whose original primary is dead (post-failure restart):
+        the replica copies this node now serves."""
         snapshot = self.ctx.snapshot
         if snapshot is None:
-            return
+            return []
         dead = [n for n in snapshot.nodes if n not in snapshot.live_nodes()]
         if not dead:
-            return
+            return []
         for victim in dead:
-            lost = self.table.primaries.get(victim)
-            if lost and len(lost) and self.table.replication < 2:
-                raise RecoveryError(
-                    f"table {self.table.name} has no replicas; data on "
-                    f"failed node {victim} is unrecoverable"
-                )
+            self.table.check_recoverable(victim)
         key_index = self.table._key_index
-        replica = self.table.replica_partition(self.ctx.node_id)
-        emitted = 0
-        for row in replica:
-            key = row[key_index] if key_index is not None else None
-            if (snapshot.original_replicas(key, 1)[0] in dead
-                    and snapshot.primary(key) == self.ctx.node_id):
-                self.emit(Delta(DeltaOp.INSERT, row))
-                emitted += 1
-        if emitted:
-            self.ctx.worker.charge_disk_seek()
+        node_id = self.ctx.node_id
+        replica = self.table.replica_partition(node_id)
+        # Keyless tables keep no replica rows, so every row here has a key.
+        return [delta for delta in replica.insert_deltas()
+                if snapshot.original_replicas(delta.row[key_index], 1)[0]
+                in dead
+                and snapshot.primary(delta.row[key_index]) == node_id]
 
     def forward_punctuation_from_source(self, stratum: int) -> None:
         self.parent.on_punctuation(Punctuation.end_of_stratum(stratum),

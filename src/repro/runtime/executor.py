@@ -505,6 +505,10 @@ class QueryExecutor:
                 return restart
             self._final_flush()
             rows = self.sink.rows() if self.options.collect_result else []
+            if flight is not None:
+                flight.note("query_end",
+                            termination_reason=self.metrics.termination_reason,
+                            strata=self.metrics.num_iterations)
         except Exception as exc:
             if flight is not None:
                 flight.attach(obs=self.options.obs,
@@ -867,6 +871,7 @@ class QueryExecutor:
         reread_total = 0
         for table_name in self._plan.tables():
             table = self.cluster.catalog.get(table_name)
+            table.check_recoverable(victim)
             key_index = table._key_index
             lost_rows = []
             # Sorted: set order is unordered and these rows feed emission
@@ -879,10 +884,6 @@ class QueryExecutor:
                             else None)
                 if pre_failure_owner(ring_key) != victim:
                     continue
-                if table.replication < 2:
-                    raise RecoveryError(
-                        f"table {table.name} has no replicas; data on "
-                        f"node {victim} is unrecoverable")
                 node_id = self.snapshot.replicas(ring_key, 1)[0]
                 wp = self.worker_plans.get(node_id)
                 if wp is None:

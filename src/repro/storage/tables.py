@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
-from repro.common.deltas import Row
+from repro.common.deltas import Delta, DeltaOp, Row
 from repro.common.errors import RecoveryError, ReproError, SchemaError
 from repro.common.schema import Schema
 from repro.common.sizes import row_bytes
@@ -22,15 +22,31 @@ from repro.storage.hashing import HashRing, RingSnapshot
 class Partition:
     """Rows of one table held by one node, with byte accounting."""
 
-    __slots__ = ("rows", "bytes")
+    __slots__ = ("rows", "bytes", "_inserts")
 
     def __init__(self):
         self.rows: List[Row] = []
         self.bytes = 0
+        self._inserts: Optional[List[Delta]] = None
 
     def append(self, row: Row) -> None:
         self.rows.append(row)
         self.bytes += row_bytes(row)
+        self._inserts = None
+
+    def insert_deltas(self) -> List[Delta]:
+        """One ``+()`` delta per row, built on first use and then shared by
+        every scan of this partition.
+
+        Rows are tuples and deltas are frozen, so scans may hand the same
+        delta objects to every query; callers must not mutate the list.
+        """
+        inserts = self._inserts
+        if inserts is None:
+            insert = DeltaOp.INSERT
+            inserts = self._inserts = [Delta(insert, row)
+                                       for row in self.rows]
+        return inserts
 
     def __len__(self):
         return len(self.rows)
@@ -63,7 +79,8 @@ class PartitionedTable:
     def load(self, rows: Iterable[Sequence[Any]], ring: HashRing) -> None:
         """Distribute ``rows`` across the ring (primary + replicas).
 
-        Rows without a partition key round-robin across nodes.
+        Rows without a partition key round-robin across nodes, one copy
+        each: ``replication`` applies to keyed tables only.
         """
         if self._loaded:
             raise ReproError(f"table {self.name} already loaded")
@@ -91,24 +108,31 @@ class PartitionedTable:
     def replica_partition(self, node: int) -> Partition:
         return self.replicas.get(node) or Partition()
 
-    def rows_for_recovery(self, failed_node: int, snapshot: RingSnapshot) -> Dict[int, List[Row]]:
-        """Re-route the failed node's primary rows to live takeover nodes.
+    def check_recoverable(self, failed_node: int) -> None:
+        """Raise :class:`RecoveryError` if ``failed_node`` held primary rows
+        that no replica holds.
 
-        Returns a map of takeover node -> rows it must now serve.  Raises
-        :class:`ReproError` if the table is unreplicated (data lost).
+        A keyless table counts as unreplicated whatever its
+        ``replication``: :meth:`load` places each round-robin row on one
+        node only.
         """
         lost = self.primaries.get(failed_node)
-        if lost is None or len(lost) == 0:
-            return {}
-        if self.replication < 2:
+        if lost and (self.replication < 2 or self._key_index is None):
             raise RecoveryError(
                 f"table {self.name} has no replicas; data on node "
                 f"{failed_node} is unrecoverable"
             )
+
+    def rows_for_recovery(self, failed_node: int, snapshot: RingSnapshot) -> Dict[int, List[Row]]:
+        """Re-route the failed node's primary rows to live takeover nodes.
+
+        Returns a map of takeover node -> rows it must now serve.  Raises
+        :class:`RecoveryError` if the rows have no replicas (data lost).
+        """
+        self.check_recoverable(failed_node)
         out: Dict[int, List[Row]] = {}
-        for row in lost:
-            key = row[self._key_index] if self._key_index is not None else None
-            takeover = snapshot.replicas(key, 1)[0]
+        for row in self.primaries.get(failed_node) or ():
+            takeover = snapshot.replicas(row[self._key_index], 1)[0]
             out.setdefault(takeover, []).append(row)
         return out
 

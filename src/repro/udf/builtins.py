@@ -104,16 +104,17 @@ class Count(Aggregator):
         return {"n": 0}
 
     def agg_state(self, state, delta: Delta, value, old_value=None):
-        def counts(v):
-            return 1 if (self.count_star or v is not None) else 0
-
-        if delta.op is DeltaOp.INSERT:
-            state["n"] += counts(value)
-        elif delta.op is DeltaOp.DELETE:
-            state["n"] -= counts(value)
-        elif delta.op is DeltaOp.REPLACE:
-            state["n"] += counts(value) - counts(old_value)
-        elif delta.op is DeltaOp.UPDATE:
+        op = delta.op
+        if op is DeltaOp.INSERT:
+            if self.count_star or value is not None:
+                state["n"] += 1
+        elif op is DeltaOp.DELETE:
+            if self.count_star or value is not None:
+                state["n"] -= 1
+        elif op is DeltaOp.REPLACE:
+            if not self.count_star:
+                state["n"] += (value is not None) - (old_value is not None)
+        elif op is DeltaOp.UPDATE:
             if not isinstance(delta.payload, int):
                 raise UDFError("count interprets only integer UPDATE payloads")
             state["n"] += delta.payload

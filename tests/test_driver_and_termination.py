@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.algorithms import make_start_table, run_pagerank, run_sssp
+from repro.algorithms import (
+    make_start_table,
+    run_pagerank,
+    run_sssp,
+    sssp_plan,
+)
 from repro.cluster import Cluster
 from repro.common.errors import PlanError
 from repro.datasets import dbpedia_like, lineitem
@@ -12,6 +17,7 @@ from repro.hadoop.jobs import MapReduceJob, Mapper, Reducer
 from repro.runtime import (
     ExecOptions,
     PScan,
+    QueryExecutor,
     after_iterations,
     any_of,
     changed_fraction_below,
@@ -147,6 +153,28 @@ class TestTerminationReason:
         result = RQLSession(graph_cluster()).execute(
             "SELECT count(*) FROM graph")
         assert result.metrics.termination_reason is None
+
+    @pytest.mark.parametrize("max_strata,reason", [
+        (200, "converged"), (2, "strata_cap")])
+    def test_reason_reaches_explain_analyze_and_flight(self, max_strata,
+                                                       reason):
+        from repro.obs import ObsContext, explain_analyze
+
+        cluster = graph_cluster()
+        make_start_table(cluster, 0)
+        obs = ObsContext()
+        result = QueryExecutor(cluster, ExecOptions(
+            obs=obs, max_strata=max_strata)).execute(sssp_plan())
+        m = result.metrics
+        assert m.termination_reason == reason
+        total = [line for line in explain_analyze(obs, m).splitlines()
+                 if line.startswith("total:")]
+        assert total == [total[0]]
+        assert total[0].endswith(f", ended: {reason}")
+        end = result.flight.notes[-1]
+        assert end["kind"] == "query_end"
+        assert end["termination_reason"] == reason
+        assert end["strata"] == m.num_iterations
 
     def test_reason_is_not_fingerprinted(self):
         """Stopping at stratum 3 by cap or by explicit condition does the

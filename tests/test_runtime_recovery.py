@@ -7,23 +7,38 @@ monotone algorithm class the paper's recovery experiment uses).
 
 import pytest
 
-from repro.algorithms import make_start_table, run_sssp, sssp_reference
+from repro.algorithms import (
+    MonotoneMinDist,
+    SPAgg,
+    make_start_table,
+    run_sssp,
+    sssp_reference,
+)
 from repro.cluster import Cluster
 from repro.common.errors import RecoveryError
 from repro.datasets import dbpedia_like
+from repro.rql import RQLSession
 from repro.runtime import ExecOptions, FailureSpec
+from tests.test_rql_e2e import SSSP_RQL
 
 
-def sssp_cluster(edges, n=5, replication=3):
+def sssp_cluster(edges, n=5, replication=3, partition_key="srcId"):
     cluster = Cluster(n)
     cluster.create_table("graph", ["srcId:Integer", "destId:Integer"],
-                         edges, "srcId", replication=replication)
+                         edges, partition_key, replication=replication)
     make_start_table(cluster, 0)
     return cluster
 
 
 EDGES = dbpedia_like(250, avg_out_degree=4, seed=17)
 EXPECTED = sssp_reference(EDGES, 0)
+
+
+def listing2_session(partition_key):
+    session = RQLSession(sssp_cluster(EDGES, partition_key=partition_key))
+    session.register(SPAgg())
+    session.register(MonotoneMinDist)
+    return session
 
 
 class TestIncrementalRecovery:
@@ -107,6 +122,21 @@ class TestReplicationInteraction:
                            recovery="incremental")
         with pytest.raises(RecoveryError):
             run_sssp(cluster, options=opts)
+
+    @pytest.mark.parametrize("recovery", ["incremental", "restart"])
+    def test_keyless_table_counts_as_unreplicated(self, recovery):
+        """Round-robin rows live on one node whatever ``replication``
+        says: losing that node must raise, not return a wrong answer."""
+        opts = ExecOptions(failure=FailureSpec(after_stratum=2, node=3),
+                           recovery=recovery)
+        keyless = listing2_session(partition_key=None)
+        with pytest.raises(RecoveryError, match="table graph"):
+            keyless.execute(SSSP_RQL, fixpoint_handler="MonotoneMinDist",
+                            options=opts)
+        keyed = listing2_session(partition_key="srcId")
+        result = keyed.execute(SSSP_RQL, fixpoint_handler="MonotoneMinDist",
+                               options=opts)
+        assert {r[0]: r[2] for r in result.rows} == EXPECTED
 
     def test_checkpoint_traffic_counted(self):
         """Δ-set replication shows up as network bytes (Figure 11 includes

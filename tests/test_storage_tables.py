@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common import Schema
+from repro.common.deltas import Delta, DeltaOp
 from repro.common.errors import ReproError, SchemaError
 from repro.storage import Catalog, HashRing, PartitionedTable
 
@@ -78,6 +79,17 @@ class TestPartitionedTable:
         snap.mark_failed(victim)
         with pytest.raises(ReproError):
             table.rows_for_recovery(victim, snap)
+
+    def test_append_after_scan_invalidates_insert_deltas(self):
+        table = make_table()
+        table.load([(i, float(i)) for i in range(10)], HashRing(range(2)))
+        partition = table.partition(0)
+        stale = partition.insert_deltas()
+        partition.append((99, 1.0))
+        fresh = partition.insert_deltas()
+        assert fresh is not stale
+        assert [d.row for d in fresh] == partition.rows
+        assert fresh[-1] == Delta(DeltaOp.INSERT, (99, 1.0))
 
     def test_total_bytes_positive(self):
         ring = HashRing(range(2))
