@@ -34,10 +34,11 @@ verdicts are withheld rather than guessed.
 
 Findings surface as REX300-REX306 diagnostics (only runtime REX307 —
 "a delta contradicted a proof" — is an error; the static pass never
-blocks execution).  The executor consumes the same inference to arm
-proof-directed fast paths (``ExecOptions(absint=True)``); the sanitizer
-downgrades shadow replay to polarity assertions on proven operators and
-escalates any contradiction to REX307.
+blocks execution).  The proofs never change how operators execute: the
+executor runs the same inference only for sanitized runs and attaches
+its proofs to the operators, where the sanitizer asserts them (any
+contradiction is REX307) and, at ``sanitize='sample'``, checks proven
+operators with that assertion instead of shadow replay.
 """
 
 from __future__ import annotations
@@ -287,9 +288,9 @@ class _Pass:
                        f"input to {label} is proven insert-only "
                        f"(polarity {in_pol.name})",
                        path,
-                       hint="retraction and replacement bookkeeping is "
-                            "skippable here; the executor fast-paths this "
-                            "under ExecOptions(absint=True)")
+                       hint="retraction and replacement handling can never "
+                            "run here; sanitized runs assert this proof "
+                            "(REX307 if a delta contradicts it)")
         dead = BOTTOM
         if in_pol.exact and in_pol.kinds:
             dead = handled - in_pol.kinds
@@ -526,8 +527,8 @@ class _PhysicalPass(_Pass):
                        "in its constituents can never run (chain input "
                        f"polarity {chain_in.name})",
                        here,
-                       hint="the kernel drops replacement handling from "
-                            "the chain under ExecOptions(absint=True)")
+                       hint="the constituents' replacement handling is dead "
+                            "code for this chain")
         self._record(node, NodeProperties(
             path=here, label="Fused", out_polarity=current,
             in_polarity=chain_in, dead=dead))

@@ -17,7 +17,9 @@ Activation is ``ExecOptions(sanitize=...)``:
 * ``"sample"`` — per-key checks cover a deterministic 1-in-16 key sample
   (seeded by ``sanitize_seed``); barrier-level checks (punctuation,
   exchange conservation) always run.  Budgeted for <10% wall overhead.
-* ``"full"``   — every key, every delta.
+* ``"full"``   — every key, every delta: the heavy invariant machinery
+  runs on every stateful operator, proven or not, plus the REX307
+  polarity assertion.
 
 The sanitizer mirrors :class:`repro.obs.ObsContext`'s instrumentation
 idiom: instance-attribute method wrapping installed at ``Operator.open``,
@@ -29,13 +31,15 @@ Findings are :class:`repro.analysis.diagnostics.Diagnostic` objects
 The schedule-perturbation race detector (REX205/REX206) lives in
 :mod:`repro.analysis.determinism`.
 
-The delta-polarity abstract interpretation (:mod:`repro.analysis.absint`)
-changes the sanitizer's economics: operators carrying static proofs
-(``proof_polarity`` / ``proof_monotone`` / ``proof_insert_only_ports``)
-are *downgraded* from the heavy invariant machinery — shadow replay for
-group-by, the per-delta legality pass for fixpoints — to assertion mode:
-one kind-set probe per batch checking that the deltas actually flowing
-match what was proven.  A contradiction is a hard :data:`REX307` error
+The executor runs the delta-polarity abstract interpretation
+(:mod:`repro.analysis.absint`) for sanitized runs only and pushes its
+proofs (``proof_polarity`` / ``proof_monotone`` /
+``proof_insert_only_ports``) onto the operators.  Every instrumented
+stateful operator gets one kind-set probe per batch checking that the
+deltas actually flowing match what was proven.  At ``"sample"`` level,
+proven operators are *downgraded* to that assertion alone — no shadow
+replay for group-by, no per-delta legality pass for fixpoints or joins;
+``"full"`` never downgrades.  A contradiction is a hard :data:`REX307` error
 ("runtime delta violated a static proof"), strictly worse than any
 REX200-series warning, because it means either an operator emitted an
 undeclared delta kind or a UDF's ``emits_polarity`` declaration lies.
@@ -262,20 +266,24 @@ class Sanitizer:
         from repro.operators.groupby import GroupBy
         from repro.operators.join import HashJoin
 
+        # At 'sample' level a static proof downgrades the heavy machinery
+        # to the polarity assertion; 'full' keeps both on every operator.
+        downgrade = not self._full
         if isinstance(op, GroupBy):
-            covered = self._wrap_polarity(op, shadow, ctx.batch)
+            covered = self._wrap_polarity(op, shadow, ctx.batch) and downgrade
             if not covered and self._node_sampled(ctx.node_id):
                 self._wrap_groupby(op, shadow, ctx.batch)
         elif isinstance(op, Fixpoint):
             covered = (self._wrap_polarity(op, shadow, ctx.batch)
-                       and getattr(op, "proof_monotone", False))
+                       and getattr(op, "proof_monotone", False)
+                       and downgrade)
             if not covered:
                 self._wrap_fixpoint(op, shadow, ctx.batch)
         elif isinstance(op, HashJoin):
             self._wrap_polarity(op, shadow, ctx.batch)
             ports = getattr(op, "proof_insert_only_ports", None) or ()
-            covered = all(p in ports for p in (0, 1)
-                          if not op._uses_handler(p))
+            covered = downgrade and all(p in ports for p in (0, 1)
+                                        if not op._uses_handler(p))
             if not covered:
                 self._wrap_join(op, shadow, ctx.batch)
         elif isinstance(op, RehashSender):
@@ -307,9 +315,8 @@ class Sanitizer:
         REX307 error.
 
         Returns True when the operator carries an exact polarity proof
-        (``proof_polarity``), i.e. the caller may downgrade the heavy
-        invariant machinery to this assertion mode — the proof-directed
-        payoff item (2).
+        (``proof_polarity``), i.e. a ``sample``-level caller may
+        downgrade the heavy invariant machinery to this assertion mode.
         """
         allowed = getattr(op, "proof_polarity", None)
         insert_ports = getattr(op, "proof_insert_only_ports", None) or ()
@@ -341,8 +348,8 @@ class Sanitizer:
                     location=loc,
                     hint="either an operator emitted an undeclared delta "
                          "kind or a UDF's emits_polarity declaration is "
-                         "wrong; rerun with ExecOptions(absint=False) and "
-                         "sanitize='full' to localize the source")
+                         "wrong; rerun with sanitize='full' to localize "
+                         "the source")
 
         if batch:
             orig_push = op.push_batch

@@ -27,13 +27,6 @@ wall-clock axis this package tracks — fused vs unfused kernels
 sampler's wall overhead (both default-on) and writes the BENCH_7 payload::
 
     PYTHONPATH=src python -m repro.bench.wallclock --telemetry --out BENCH_7.json
-
-``--absint`` measures the proof-directed fast paths unlocked by the
-delta-polarity abstract interpretation (``ExecOptions(absint=...)``) and
-writes the BENCH_8 payload; it also reports the sanitizer-downgrade
-effect (``sanitize="full"`` with and without proofs)::
-
-    PYTHONPATH=src python -m repro.bench.wallclock --absint --out BENCH_8.json
 """
 
 from __future__ import annotations
@@ -108,8 +101,7 @@ def _workloads(smoke: bool, nodes: int, seed: int
 
 
 def _time_run(make_runner: Callable, batch: bool, obs=None,
-              sanitize: str = "off", fuse: bool = True, flight: bool = True,
-              absint: bool = True
+              sanitize: str = "off", fuse: bool = True, flight: bool = True
               ) -> Tuple[float, float, QueryMetrics]:
     """Build a fresh cluster, then time one query execution.
 
@@ -123,7 +115,7 @@ def _time_run(make_runner: Callable, batch: bool, obs=None,
     runner = make_runner()
     setup_wall = time.perf_counter() - setup_start
     options = ExecOptions(batch=batch, obs=obs, sanitize=sanitize,
-                          fuse=fuse, flight=flight, absint=absint)
+                          fuse=fuse, flight=flight)
     gc_was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()
@@ -353,76 +345,6 @@ def run_fusion_benchmark(smoke: bool = False, nodes: int = 8, seed: int = 7,
     return results
 
 
-def run_absint_benchmark(smoke: bool = False, nodes: int = 8, seed: int = 7,
-                         repeats: int = 1) -> Dict:
-    """Proof-directed fast paths on vs off; returns the BENCH_8 payload.
-
-    Two axes per workload, all batch+fused:
-
-    * bare engine — ``absint=True`` (the default: infer proofs, arm the
-      retraction-free operator loops) vs ``absint=False`` (the exact
-      pre-analysis engine).  The on-side wall *includes* the abstract
-      interpretation itself, so the reported speedup is net of the
-      analysis cost.
-    * ``sanitize="full"`` — same toggle.  With proofs the sanitizer
-      downgrades shadow replay and the per-delta legality pass to
-      polarity assertions, so this axis is where the analysis pays most.
-
-    The run *fails* (AssertionError) if any workload's simulated-metrics
-    fingerprint differs across the four configurations — a proof-directed
-    fast path must never change what is computed, only how fast the
-    simulator computes it.
-    """
-    results: Dict = {
-        "benchmark": "wallclock-absint-vs-baseline",
-        "smoke": smoke,
-        "nodes": nodes,
-        "workloads": {},
-    }
-    for name, make_runner in _workloads(smoke, nodes, seed):
-        # Interleave on/off (alternating order per repeat) so monotone
-        # within-process drift penalizes both sides equally.
-        walls: Dict[tuple, List[float]] = {}
-        fps: Dict[tuple, tuple] = {}
-        sim = None
-        for r in range(repeats):
-            order = (False, True) if r % 2 == 0 else (True, False)
-            for sanitize in ("off", "full"):
-                for absint in order:
-                    _, wall, m = _time_run(make_runner, batch=True,
-                                           sanitize=sanitize, absint=absint)
-                    walls.setdefault((sanitize, absint), []).append(wall)
-                    fps[(sanitize, absint)] = _metrics_fingerprint(m)
-                    sim = m
-        base_fp = fps[("off", True)]
-        for config, fp in fps.items():
-            if fp != base_fp:
-                raise AssertionError(
-                    f"{name}: simulated metrics diverge at "
-                    f"sanitize={config[0]!r} absint={config[1]}\n"
-                    f"expected: {base_fp}\ngot:      {fp}")
-        on_wall = min(walls[("off", True)])
-        off_wall = min(walls[("off", False)])
-        san_on = min(walls[("full", True)])
-        san_off = min(walls[("full", False)])
-        results["workloads"][name] = {
-            "absint_wall_seconds": round(on_wall, 4),
-            "no_absint_wall_seconds": round(off_wall, 4),
-            "speedup": round(speedup(off_wall, on_wall), 3),
-            "sanitized_absint_wall_seconds": round(san_on, 4),
-            "sanitized_no_absint_wall_seconds": round(san_off, 4),
-            "sanitized_speedup": round(speedup(san_off, san_on), 3),
-            "simulated_seconds": sim.total_seconds(),
-            "strata": sim.num_iterations,
-            "simulated_metrics_identical": True,
-        }
-    results["geomean_speedup"] = round(_geomean(
-        [w["speedup"] for w in results["workloads"].values()]), 3)
-    results["geomean_sanitized_speedup"] = round(_geomean(
-        [w["sanitized_speedup"] for w in results["workloads"].values()]), 3)
-    return results
-
-
 #: Configurations the telemetry benchmark times, in rotation order.
 _TELEMETRY_CONFIGS = ("plain", "flight", "obs", "telemetry")
 
@@ -556,11 +478,6 @@ def main(argv=None) -> int:
                         help="measure flight-recorder and live-telemetry "
                              "overhead instead (the BENCH_7 payload; fails "
                              "if simulated metrics differ)")
-    parser.add_argument("--absint", action="store_true",
-                        help="measure the abstract-interpretation "
-                             "proof-directed fast paths on vs off (the "
-                             "BENCH_8 payload; fails if simulated metrics "
-                             "differ)")
     parser.add_argument("--baseline", default="BENCH_1.json",
                         help="with --fusion: BENCH_1-format JSON whose "
                              "recorded batch_wall_seconds serve as the "
@@ -569,13 +486,9 @@ def main(argv=None) -> int:
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
 
-    if sum((args.fusion, args.telemetry, args.absint)) > 1:
-        parser.error("--fusion, --telemetry and --absint are mutually "
-                     "exclusive")
-    if args.absint:
-        results = run_absint_benchmark(smoke=args.smoke, nodes=args.nodes,
-                                       seed=args.seed, repeats=args.repeats)
-    elif args.telemetry:
+    if args.fusion and args.telemetry:
+        parser.error("--fusion and --telemetry are mutually exclusive")
+    if args.telemetry:
         results = run_telemetry_benchmark(smoke=args.smoke, nodes=args.nodes,
                                           seed=args.seed,
                                           repeats=args.repeats)
@@ -595,17 +508,7 @@ def main(argv=None) -> int:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     print(text)
-    if args.absint:
-        for name, row in results["workloads"].items():
-            print(f"{name}: {row['speedup']}x bare "
-                  f"({row['no_absint_wall_seconds']}s -> "
-                  f"{row['absint_wall_seconds']}s), "
-                  f"{row['sanitized_speedup']}x sanitized "
-                  f"({row['sanitized_no_absint_wall_seconds']}s -> "
-                  f"{row['sanitized_absint_wall_seconds']}s)")
-        print(f"geomean: {results['geomean_speedup']}x bare, "
-              f"{results['geomean_sanitized_speedup']}x sanitized")
-    elif args.telemetry:
+    if args.telemetry:
         for name, row in results["workloads"].items():
             print(f"{name}: flight {row['flight_overhead_pct']}% "
                   f"({row['baseline_wall_seconds']}s -> "

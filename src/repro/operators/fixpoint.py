@@ -45,14 +45,13 @@ class Fixpoint(Operator):
     """Fixpoint/while state: dedup, refinement, and the pending Δᵢ set."""
 
     #: Proofs from the delta-polarity abstract interpretation
-    #: (:mod:`repro.analysis.absint`), set by the executor.
-    #: ``proof_polarity`` is the statically proven input kind set (the
-    #: sanitizer asserts it; a contradiction is REX307).
-    #: ``proof_no_delete`` arms the retraction-free keyed loop below;
-    #: ``proof_monotone`` (REX301) lets the sanitizer downgrade shadow
-    #: replay to the cheap assertion mode.
+    #: (:mod:`repro.analysis.absint`), set by the executor for sanitized
+    #: runs only.  ``proof_polarity`` is the statically proven input kind
+    #: set (the sanitizer asserts it; a contradiction is REX307);
+    #: ``proof_monotone`` (REX301) lets ``sanitize='sample'`` downgrade
+    #: shadow replay to the cheap assertion mode.  Execution never reads
+    #: either.
     proof_polarity: Optional[frozenset] = None
-    proof_no_delete: bool = False
     proof_monotone: bool = False
 
     def __init__(self, key_fn: Optional[Callable[[tuple], tuple]] = None,
@@ -121,33 +120,6 @@ class Fixpoint(Operator):
             for delta in deltas:
                 process_set(delta)
             return  # _process_set already maintained the admission counters
-        elif self.proof_no_delete:
-            # Retraction-free keyed loop (REX300/REX304 proof): the
-            # abstract interpretation guarantees only INSERT/REPLACE
-            # kinds reach this operator, so the per-delta op dispatch —
-            # the delete pop and the UPDATE rejection — is dropped
-            # entirely.  Dedup/refinement and charges are identical to
-            # the general keyed loop below.
-            key_fn = self.key_fn
-            state = self.state
-            add_state_bytes = ctx.worker.add_state_bytes
-            admit_unchanged = self.admit_unchanged
-            append = pending.append
-            insert, replace = DeltaOp.INSERT, DeltaOp.REPLACE
-            for delta in deltas:
-                row = delta.row
-                key = key_fn(row)
-                current = state.get(key)
-                if current is None:
-                    state[key] = row
-                    add_state_bytes(row_bytes(row))
-                    append(Delta(insert, row))
-                elif current == row:
-                    if admit_unchanged:
-                        append(Delta(insert, row))
-                else:
-                    state[key] = row
-                    append(Delta(replace, row, old=current))
         else:
             # Keyed dedup/refinement inlined with locals bound (the hot
             # path for every recursive benchmark).

@@ -45,17 +45,12 @@ class GroupBy(Operator):
     #: with a small cap.
     key_memo_cap: int = 65536
 
-    #: Proofs from the delta-polarity abstract interpretation
-    #: (:mod:`repro.analysis.absint`), set by the executor when the
-    #: operator's input polarity is statically exact.  ``proof_polarity``
-    #: is the proven kind set (asserted by the sanitizer, REX307 on
-    #: contradiction); the two booleans arm the specialized batch loops
-    #: below, which skip the per-delta op dispatch and the
-    #: replace-straddle decompose while keeping outputs and simulated
-    #: charge multisets identical to the general path.
+    #: Input kind set proven by the delta-polarity abstract
+    #: interpretation (:mod:`repro.analysis.absint`).  The executor sets
+    #: it only for sanitized runs; the sanitizer asserts it (REX307 on
+    #: contradiction) and, at ``sanitize='sample'``, downgrades shadow
+    #: replay on proven operators.  Execution never reads it.
     proof_polarity: Optional[frozenset] = None
-    proof_insert_only: bool = False
-    proof_update_only: bool = False
 
     def __init__(self, key_fn: Callable[[tuple], tuple],
                  specs: Sequence[AggregateSpec],
@@ -141,12 +136,7 @@ class GroupBy(Operator):
         """Vectorized stratum-mode path: key extraction, state lookup, and
         per-spec dispatch amortized per batch; one dirty-set pass."""
         if self.mode != "stream" and self.specs:
-            if self.proof_insert_only:
-                self._push_batch_insert_only(deltas)
-            elif self.proof_update_only:
-                self._push_batch_update_only(deltas)
-            else:
-                self._push_batch_stratum(deltas, port)
+            self._push_batch_stratum(deltas, port)
         else:
             super().push_batch(deltas, port)
 
@@ -310,201 +300,6 @@ class GroupBy(Operator):
             charge_cpu(udf_cost, udf_charges)
         self.memo_misses += misses
         self.memo_hits += len(deltas) - bypassed - misses
-
-    def _batch_prologue(self, deltas):
-        """Shared prologue of the proof-specialized batch loops: the
-        batch CPU charge plus the hoisted locals of
-        :meth:`_push_batch_stratum` (identical charges, identical spec
-        dispatch plan)."""
-        ctx = self.ctx
-        ctx.charge_tuple_batch(len(deltas), self.per_tuple_cost)
-        cost = ctx.cost
-        spec_plan = []
-        for spec in self.specs:
-            per_delta_cost = getattr(spec.aggregator, "per_delta_cost", None)
-            spec_plan.append((
-                spec.arg, spec.aggregator.agg_state,
-                per_delta_cost(cost) if per_delta_cost is not None else None,
-            ))
-        return ctx, cost, spec_plan
-
-    def _push_batch_insert_only(self, deltas) -> None:
-        """Insert-only specialization (REX300 proof): every delta is a
-        ``+``, so the op dispatch, the replace decompose, and the
-        delete/update live-count branches are all skipped.  Charge
-        multiset per delta is identical to the general loop's INSERT
-        branch (no UDC charge; per-delta aggregator costs counted and
-        charged once per batch)."""
-        if not deltas:
-            return
-        ctx, cost, spec_plan = self._batch_prologue(deltas)
-        key_fn = self.key_fn
-        groups = self.groups
-        dirty = self._dirty
-        specs = self.specs
-        worker = ctx.worker
-        charge_state_access = worker.charge_state_access
-        memory_budget = worker.cost.worker_memory_bytes
-        charge_cpu = ctx.charge_cpu
-        charge_counts = [0] * len(spec_plan)
-        if len(spec_plan) == 1:
-            s_arg, s_agg_state, s_per_delta = spec_plan[0]
-            single = True
-            s_argmin_fast = (specs[0].aggregator.__class__ is ArgMin
-                             and s_per_delta is None)
-        else:
-            single = False
-            s_argmin_fast = False
-        key_memo = self._key_memo
-        key_memo_cap = self.key_memo_cap
-        misses = 0
-        for delta in deltas:
-            row = delta.row
-            try:
-                key = key_memo.get(row)
-            except TypeError:
-                misses += 1
-                key = key_fn(row)
-            else:
-                if key is None:
-                    misses += 1
-                    if len(key_memo) >= key_memo_cap:
-                        self.memo_evictions += len(key_memo)
-                        key_memo.clear()
-                    key = key_memo[row] = key_fn(row)
-            if worker.state_bytes > memory_budget:
-                charge_state_access()
-            try:
-                group = groups[key]
-            except KeyError:
-                group = _Group([spec.aggregator.init_state()
-                                for spec in specs])
-                groups[key] = group
-                worker.add_state_bytes(row_bytes(key) + 32)
-            group.live += 1
-            if s_argmin_fast:
-                ident, value = s_arg(row)
-                state0 = group.states[0]
-                k = (value, ident)
-                mlive = state0._live
-                mlive[k] = mlive.get(k, 0) + 1
-                state0.size += 1
-                if not state0._stale:
-                    best = state0._best
-                    if best is None or k < best:
-                        state0._best = k
-                dirty[key] = None
-                continue
-            states = group.states
-            if single:
-                if s_per_delta is not None:
-                    charge_counts[0] += 1
-                states[0] = s_agg_state(states[0], delta, s_arg(row), None)
-            else:
-                i = 0
-                for arg, agg_state, per_delta in spec_plan:
-                    if per_delta is not None:
-                        charge_counts[i] += 1
-                    states[i] = agg_state(states[i], delta, arg(row), None)
-                    i += 1
-            dirty[key] = None
-        for i, (_, _, per_delta) in enumerate(spec_plan):
-            if charge_counts[i]:
-                charge_cpu(per_delta, charge_counts[i])
-        self.memo_misses += misses
-        self.memo_hits += len(deltas) - misses
-
-    def _push_batch_update_only(self, deltas) -> None:
-        """δ-only specialization (the PageRank / K-means hot loop): every
-        delta is a value-update, so the op dispatch collapses to the
-        UPDATE branch — live pinning, the inline running-SUM fold when it
-        applies, and one UDC charge per generic fold, exactly as the
-        general loop charges them."""
-        if not deltas:
-            return
-        ctx, cost, spec_plan = self._batch_prologue(deltas)
-        key_fn = self.key_fn
-        groups = self.groups
-        dirty = self._dirty
-        specs = self.specs
-        worker = ctx.worker
-        charge_state_access = worker.charge_state_access
-        memory_budget = worker.cost.worker_memory_bytes
-        charge_cpu = ctx.charge_cpu
-        udf_cost = cost.udf_cost_per_tuple(batched=True)
-        charge_counts = [0] * len(spec_plan)
-        udf_charges = 0
-        if len(spec_plan) == 1:
-            s_arg, s_agg_state, s_per_delta = spec_plan[0]
-            single = True
-            s_sum_fast = (specs[0].aggregator.__class__ is Sum
-                          and s_per_delta is None)
-        else:
-            single = False
-            s_sum_fast = False
-        key_memo = self._key_memo
-        key_memo_cap = self.key_memo_cap
-        misses = 0
-        for delta in deltas:
-            row = delta.row
-            try:
-                key = key_memo.get(row)
-            except TypeError:
-                misses += 1
-                key = key_fn(row)
-            else:
-                if key is None:
-                    misses += 1
-                    if len(key_memo) >= key_memo_cap:
-                        self.memo_evictions += len(key_memo)
-                        key_memo.clear()
-                    key = key_memo[row] = key_fn(row)
-            if worker.state_bytes > memory_budget:
-                charge_state_access()
-            try:
-                group = groups[key]
-            except KeyError:
-                group = _Group([spec.aggregator.init_state()
-                                for spec in specs])
-                groups[key] = group
-                worker.add_state_bytes(row_bytes(key) + 32)
-            if group.live < 1:
-                group.live = 1
-            if s_sum_fast:
-                payload = delta.payload
-                if (payload.__class__ is float
-                        or payload.__class__ is int):
-                    state0 = group.states[0]
-                    if state0["count"] < 1:
-                        state0["count"] = 1
-                    state0["sum"] += payload
-                    udf_charges += 1
-                    dirty[key] = None
-                    continue
-            states = group.states
-            if single:
-                if s_per_delta is not None:
-                    charge_counts[0] += 1
-                else:
-                    udf_charges += 1
-                states[0] = s_agg_state(states[0], delta, None, None)
-            else:
-                i = 0
-                for _arg, agg_state, per_delta in spec_plan:
-                    if per_delta is not None:
-                        charge_counts[i] += 1
-                    else:
-                        udf_charges += 1
-                    states[i] = agg_state(states[i], delta, None, None)
-                    i += 1
-            dirty[key] = None
-        for i, (_, _, per_delta) in enumerate(spec_plan):
-            if charge_counts[i]:
-                charge_cpu(per_delta, charge_counts[i])
-        if udf_charges:
-            charge_cpu(udf_cost, udf_charges)
-        self.memo_misses += misses
-        self.memo_hits += len(deltas) - misses
 
     # -- emission ----------------------------------------------------------
     def _flush_key(self, key: tuple, group: _Group,

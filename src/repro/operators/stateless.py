@@ -115,11 +115,6 @@ class Filter(Operator):
     predicate degrades into a bare insert or delete, per the delta rules.
     """
 
-    #: Set by the executor when the abstract interpretation proves REPLACE
-    #: deltas cannot reach this operator (REX304): the batch loop drops the
-    #: per-delta REPLACE-straddle test entirely.
-    proof_no_replace: bool = False
-
     def __init__(self, predicate: Callable[[tuple], bool],
                  name: Optional[str] = None, per_tuple_cost=None,
                  udf_calls: int = 0):
@@ -161,13 +156,6 @@ class Filter(Operator):
         predicate = self.predicate
         out: List[Delta] = []
         append = out.append
-        if self.proof_no_replace:
-            # Proven REPLACE-free input: plain predicate loop, no
-            # old/new-straddle decomposition to consider.
-            for delta in deltas:
-                if predicate(delta.row):
-                    append(delta)
-            return out
         replace = DeltaOp.REPLACE
         for delta in deltas:
             if delta.op is replace:
@@ -192,9 +180,6 @@ class Filter(Operator):
 class Project(Operator):
     """π: maps each delta's row(s) through a compiled row function."""
 
-    #: See :attr:`Filter.proof_no_replace`.
-    proof_no_replace: bool = False
-
     def __init__(self, row_fn: Callable[[tuple], tuple],
                  name: Optional[str] = None):
         super().__init__(name or "Project")
@@ -214,12 +199,6 @@ class Project(Operator):
         row_fn = self.row_fn
         out: List[Delta] = []
         append = out.append
-        if self.proof_no_replace:
-            # Proven REPLACE-free input: single row image per delta.
-            for delta in deltas:
-                append(Delta(delta.op, row_fn(delta.row),
-                             payload=delta.payload))
-            return out
         replace = DeltaOp.REPLACE
         for delta in deltas:
             if delta.op is replace:
@@ -252,9 +231,6 @@ class ApplyFunction(Operator):
     UDC invocation cost (the paper's Java-reflection overhead) is charged
     per call, amortized by the engine's input batching.
     """
-
-    #: See :attr:`Filter.proof_no_replace`.
-    proof_no_replace: bool = False
 
     def __init__(self, udf, arg_fn: Callable[[tuple], tuple],
                  mode: str = "extend", delta_aware: bool = False,
@@ -342,31 +318,23 @@ class ApplyFunction(Operator):
                     return [row + r for r in rows]
                 return rows
 
-            if self.proof_no_replace:
-                # Proven REPLACE-free input: exactly one UDF call per
-                # delta, no old/new double-invocation to arbitrate.
-                for delta in deltas:
+            for delta in deltas:
+                if delta.op is replace:
+                    calls += 2
+                    new_rows = invoke(delta.row)
+                    old_rows = invoke(delta.old)
+                    if len(new_rows) == len(old_rows):
+                        for new, old in zip(new_rows, old_rows):
+                            out.append(Delta(replace, new, old=old))
+                    else:
+                        for old in old_rows:
+                            out.append(Delta(DeltaOp.DELETE, old))
+                        for new in new_rows:
+                            out.append(Delta(DeltaOp.INSERT, new))
+                else:
                     calls += 1
                     for row in invoke(delta.row):
                         out.append(delta.with_row(row))
-            else:
-                for delta in deltas:
-                    if delta.op is replace:
-                        calls += 2
-                        new_rows = invoke(delta.row)
-                        old_rows = invoke(delta.old)
-                        if len(new_rows) == len(old_rows):
-                            for new, old in zip(new_rows, old_rows):
-                                out.append(Delta(replace, new, old=old))
-                        else:
-                            for old in old_rows:
-                                out.append(Delta(DeltaOp.DELETE, old))
-                            for new in new_rows:
-                                out.append(Delta(DeltaOp.INSERT, new))
-                    else:
-                        calls += 1
-                        for row in invoke(delta.row):
-                            out.append(delta.with_row(row))
         self.calls += calls
         ctx.charge_cpu(call_cost, calls)
         return out

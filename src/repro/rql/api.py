@@ -7,13 +7,15 @@ disseminate, execute, union results.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Optional, Tuple
 
 from repro.analysis import analyze_logical
 from repro.analysis.diagnostics import DiagnosticReport
 from repro.cluster.cluster import Cluster
 from repro.optimizer.exchanges import add_exchanges
+from repro.operators.expressions import make_row_fn
 from repro.optimizer.explain import explain as explain_plan
+from repro.optimizer.logical import LGroupBy, LNode, LProject
 from repro.optimizer.physical import lower
 from repro.optimizer.planner import Optimizer
 from repro.common.errors import PlanValidationError, TypeCheckError
@@ -65,6 +67,28 @@ class RQLSession:
         if limit is not None:
             rows = rows[:limit]
         return list(rows)
+
+    @staticmethod
+    def _empty_aggregate_row(node: LNode) -> Optional[Tuple]:
+        """The row a global aggregate (aggregates, no GROUP BY) returns
+        over empty input, as in SQL: each aggregate's result over no rows
+        (COUNT gives 0, the other built-ins None) passed through the
+        select-list projection.  ``None`` for any other query shape.
+
+        ``node`` is the compiler's output, where such a query is always
+        a projection directly over a keyless group-by."""
+        if not (isinstance(node, LProject)
+                and isinstance(node.children[0], LGroupBy)
+                and not node.children[0].keys):
+            return None
+        groupby = node.children[0]
+        empty = []
+        for agg in groupby.aggs:
+            aggregator = agg.aggregator_factory()
+            empty.append(aggregator.agg_result(aggregator.init_state()))
+        project = make_row_fn([expr for expr, _ in node.items],
+                              groupby.schema)
+        return project(tuple(empty))
 
     def logical_plan(self, text: str,
                      fixpoint_handler: Optional[str] = None):
@@ -133,10 +157,13 @@ class RQLSession:
         just on the terminal of whoever typed ``--force``.  Top-level
         ``ORDER BY`` / ``LIMIT`` are applied at the requestor over the
         unioned result (presentation only; execution is unordered, as in
-        any distributed engine).
+        any distributed engine).  A global aggregate over empty input
+        returns its one SQL row, built here at the requestor (no
+        simulated resource is charged for it).
         """
         query, presentation = self._split_presentation(parse(text))
-        node = compile_query(query, self.cluster.catalog, self.registry)
+        node = compiled = compile_query(query, self.cluster.catalog,
+                                        self.registry)
         if fixpoint_handler is not None:
             from repro.optimizer.logical import LFixpoint
 
@@ -166,6 +193,11 @@ class RQLSession:
                     errors=len(report.errors),
                     warnings=len(report.warnings),
                     codes=report.codes())
+        if (not result.rows and isinstance(query, rql_ast.Select)
+                and executor.options.collect_result):
+            row = self._empty_aggregate_row(compiled)
+            if row is not None:
+                result.rows = [row]
         if presentation is not None:
             result.rows = self._apply_presentation(result.rows, node.schema,
                                                    presentation)

@@ -117,8 +117,13 @@ class ExecOptions:
     """Runtime delta-invariant checking (:mod:`repro.analysis.sanitizer`,
     REX200-series): ``'off'`` installs nothing, ``'sample'`` verifies a
     deterministic hash-sample of keys, ``'full'`` verifies everything.
-    The sanitizer is passive: it never charges simulated resources, so
-    :meth:`QueryMetrics.fingerprint` is bit-identical at every level."""
+    Both levels run the delta-polarity inference (REX3xx) and assert its
+    proofs at runtime (REX307).  ``'sample'`` checks an operator with a
+    proven polarity by that assertion alone, instead of shadow replay;
+    ``'full'`` never downgrades and keeps shadow replay on every
+    operator.  The sanitizer is passive: it never charges simulated
+    resources, so :meth:`QueryMetrics.fingerprint` is bit-identical at
+    every level."""
     sanitize_seed: int = 0
     """Seed mixed into the sanitizer's key-sampling hash."""
     perturb: Optional[object] = None
@@ -146,19 +151,6 @@ class ExecOptions:
     neither set the bundle is kept in memory only
     (``QueryResult.flight.last_bundle`` / the exception's
     ``rex_flight_bundle`` attribute)."""
-    absint: bool = True
-    """Proof-directed fast paths from the delta-polarity abstract
-    interpretation (:mod:`repro.analysis.absint`, REX3xx): run the
-    inference over the (fused) physical plan at instantiation and arm
-    the operator specializations its proofs license — insert-only /
-    update-only group-by folding, the no-retraction keyed-fixpoint loop,
-    insert-only join build ports, and replacement-free stateless chains.
-    Every fast path preserves outputs and simulated charge multisets
-    exactly, so :meth:`QueryMetrics.fingerprint` is bit-identical on or
-    off (enforced by tests and the wallclock harness); only wall clock
-    changes.  The sanitizer additionally downgrades shadow replay to
-    cheap polarity assertions on proven operators — a violated proof is
-    escalated to a hard REX307 error."""
 
 
 @dataclass
@@ -283,14 +275,6 @@ class QueryExecutor:
             from repro.optimizer.fusion import fuse_plan
             exec_root, self.fusion_decisions = fuse_plan(exec_root)
         self._exec_root = exec_root
-        # Abstract interpretation over the tree the executor builds from:
-        # its per-node proofs (insert-only inputs, no-retraction loops,
-        # replacement-free chains) are pushed onto the operator instances
-        # in _make_operator and arm the charge-identical fast paths.
-        self._absint_props = None
-        if self.options.absint:
-            from repro.analysis.absint import infer
-            self._absint_props, _ = infer(exec_root)
         self._assign_exchanges(exec_root)
         live = self._live_ids()
         if plan.fixpoint is not None:
@@ -311,6 +295,15 @@ class QueryExecutor:
             # Installed after obs so the sanitizer's tee wraps (and keeps
             # forwarding to) the observability hook.
             self.sanitizer.install_network(self.cluster.network)
+        # Abstract interpretation over the tree the executor builds from,
+        # for the sanitizer only: _make_operator pushes its per-node
+        # polarity proofs onto the operator instances, where the
+        # sanitizer asserts them (REX307) and, at 'sample' level,
+        # downgrades shadow replay on proven operators.
+        self._absint_props = None
+        if self.sanitizer is not None:
+            from repro.analysis.absint import infer
+            self._absint_props, _ = infer(exec_root)
         if self.options.perturb is not None:
             self.options.perturb.install(self.cluster.network)
         # The fabric fast paths preserve message order and charge
@@ -378,31 +371,20 @@ class QueryExecutor:
         return op
 
     def _apply_proofs(self, node: PNode, op) -> None:
-        """Arm the fast paths licensed by the abstract interpretation.
+        """Attach the abstract interpretation's polarity proofs that the
+        sanitizer reads.
 
         Each attribute set here is a *proof*: the static analysis
         guarantees the corresponding delta kinds can never reach this
-        operator, so skipping their handling preserves outputs and
-        simulated charge multisets exactly.  The sanitizer asserts the
-        proofs at runtime (a contradiction is a hard REX307)."""
+        operator.  Execution never reads them; the sanitizer asserts
+        them at runtime (a contradiction is a hard REX307)."""
         props = self._absint_props.of(node)
-        if props is None:
+        if props is None or not isinstance(op, (GroupBy, HashJoin, Fixpoint)):
             return
         in_pol = props.in_polarity
-        proven = (in_pol is not None and in_pol.exact and in_pol.kinds)
-        if isinstance(op, (Filter, Project, ApplyFunction)):
-            if proven and DeltaOp.REPLACE not in in_pol.kinds:
-                op.proof_no_replace = True
-        elif isinstance(op, GroupBy):
-            if proven:
-                op.proof_polarity = in_pol.kinds
-                if in_pol.kinds <= {DeltaOp.INSERT}:
-                    op.proof_insert_only = True
-                elif in_pol.kinds <= {DeltaOp.UPDATE}:
-                    op.proof_update_only = True
-        elif isinstance(op, HashJoin):
-            if proven:
-                op.proof_polarity = in_pol.kinds
+        if in_pol is not None and in_pol.exact and in_pol.kinds:
+            op.proof_polarity = in_pol.kinds
+        if isinstance(op, HashJoin):
             ports = props.port_polarities or ()
             insert_only_ports = frozenset(
                 port for port, p in enumerate(ports)
@@ -410,19 +392,8 @@ class QueryExecutor:
                 and p.exact and p.kinds and p.kinds <= {DeltaOp.INSERT})
             if insert_only_ports:
                 op.proof_insert_only_ports = insert_only_ports
-        elif isinstance(op, Fixpoint):
-            if proven:
-                op.proof_polarity = in_pol.kinds
-                if (op.semantics == "keyed" and op.while_handler is None
-                        and in_pol.kinds <= {DeltaOp.INSERT,
-                                             DeltaOp.REPLACE}):
-                    op.proof_no_delete = True
-            if props.monotone:
-                op.proof_monotone = True
-        elif isinstance(op, FusedKernel):
-            # Constituents got their own proofs when _make_operator built
-            # them; nothing to arm on the kernel shell itself.
-            pass
+        elif isinstance(op, Fixpoint) and props.monotone:
+            op.proof_monotone = True
 
     def _create_operator(self, node: PNode, ctx: ExecContext,
                          wp: _WorkerPlan):
@@ -766,6 +737,10 @@ class QueryExecutor:
                 wp.fixpoint.mutable_size() if wp.fixpoint else 0,
                 wp.worker_id)).worker_id
         self.cluster.fail_node(victim)
+        if not self._live_ids():
+            raise RecoveryError(
+                f"node {victim} was the last live node: no replica "
+                "survives to recover from")
         self.snapshot.mark_failed(victim)
         pending.pop(victim, None)
         self.worker_plans.pop(victim, None)

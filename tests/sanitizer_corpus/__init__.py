@@ -201,16 +201,10 @@ def _run_rex200():
 
 
 def _run_rex201():
-    """PageRank with the hidden-self-state FlakySum.
-
-    absint is off here on purpose: the polarity proofs downgrade shadow
-    replay to assertion mode on proven groups (the REX3xx fast-path
-    payoff), and this case pins the replay machinery itself — the
-    maximal-checking configuration is sanitize='full' + absint=False.
-    """
+    """PageRank with the hidden-self-state FlakySum."""
     cluster = _graph_cluster()
     plan = _pagerank_plan_with_sum(FlakySum)
-    opts = ExecOptions(sanitize="full", max_strata=60, absint=False)
+    opts = ExecOptions(sanitize="full", max_strata=60)
     result = QueryExecutor(cluster, opts).execute(plan)
     return result.sanitizer.report
 

@@ -1,78 +1,34 @@
 """Runtime property suite for the delta-polarity abstract interpretation
-(REX3xx) and its proof-directed fast paths.
+(REX3xx), whose proofs the sanitizer asserts.
 
-Three properties, asserted on every benchmark workload (smoke sizes):
+Two properties, asserted on every benchmark workload (smoke sizes):
 
-1. **Fingerprint identity**: the simulated metrics fingerprint is
-   bit-identical with ``ExecOptions(absint=...)`` on or off, at every
-   sanitize level — the fast paths change wall clock only, never the
-   simulated execution.
-2. **Observation consistency**: under the full sanitizer every
+1. **Observation consistency**: under the full sanitizer every
    runtime-observed delta kind stays inside the static polarity verdict
-   (no REX307, and a direct per-port subset check against the armed
+   (no REX307, and a direct per-port subset check against the attached
    proofs).
-3. **Violation detection**: a delta kind that contradicts a proof trips
+2. **Violation detection**: a delta kind that contradicts a proof trips
    a hard REX307 error (unit-level, via a fabricated operator).
 """
-
-import itertools
 
 import pytest
 
 from repro.algorithms.sssp import make_start_table
 from repro.bench.common import fresh_cluster
-from repro.bench.wallclock import (
-    _graph_cluster,
-    _metrics_fingerprint,
-    _time_run,
-    _workloads,
-)
+from repro.bench.wallclock import _graph_cluster
 from repro.common.deltas import Delta, DeltaOp
 from repro.datasets import geo_points, sample_centroids
 
-SMOKE = dict(_workloads(smoke=True, nodes=4, seed=7))
-
 
 # ---------------------------------------------------------------------------
-# Property 1: absint on/off never changes the simulated execution
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("name", sorted(SMOKE))
-def test_fingerprint_identical_with_and_without_absint(name):
-    fps = {}
-    for sanitize, absint in itertools.product(("off", "full"),
-                                              (True, False)):
-        _, _, metrics = _time_run(SMOKE[name], batch=True,
-                                  sanitize=sanitize, flight=False,
-                                  absint=absint)
-        fps[(sanitize, absint)] = _metrics_fingerprint(metrics)
-    base = fps[("off", True)]
-    for key, fp in fps.items():
-        assert fp == base, (
-            f"{name}: fingerprint diverged at sanitize={key[0]!r}, "
-            f"absint={key[1]}")
-
-
-@pytest.mark.parametrize("name", sorted(SMOKE))
-def test_fingerprint_identical_unfused(name):
-    """The stateless proof loops also serve fused chains; check the
-    unfused shape too so both code paths stay charge-identical."""
-    fps = [
-        _metrics_fingerprint(_time_run(SMOKE[name], batch=True, fuse=False,
-                                       flight=False, absint=absint)[2])
-        for absint in (True, False)
-    ]
-    assert fps[0] == fps[1], f"{name}: unfused fingerprint diverged"
-
-
-# ---------------------------------------------------------------------------
-# Property 2: observed polarities never contradict static verdicts
+# Property 1: observed polarities never contradict static verdicts
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
 def sanitized_runs():
-    """One full-sanitizer, proofs-armed execution per workload, keyed by
-    name; yields (sanitizer, result) pairs."""
+    """One full-sanitizer execution per workload (the executor attaches
+    the polarity proofs), keyed by name; yields (sanitizer, result)
+    pairs."""
     from repro.algorithms.kmeans import kmeans_plan
     from repro.algorithms.pagerank import pagerank_plan
     from repro.algorithms.sssp import sssp_plan
@@ -81,8 +37,7 @@ def sanitized_runs():
     runs = {}
 
     def options():
-        return ExecOptions(batch=True, sanitize="full", flight=False,
-                           absint=True)
+        return ExecOptions(batch=True, sanitize="full", flight=False)
 
     cluster = _graph_cluster(200, 4.0, 4, 7)
     opts = options()
@@ -127,7 +82,7 @@ def test_runtime_polarities_respect_static_proofs(name, sanitized_runs):
 @pytest.mark.parametrize("name", ["pagerank", "sssp", "kmeans"])
 def test_observed_kinds_subset_of_armed_proofs(name, sanitized_runs):
     """Re-derive the REX307 check from raw shadow state: every kind a
-    port actually saw must sit inside that port's armed proof."""
+    port actually saw must sit inside that port's attached proof."""
     sanitizer = sanitized_runs[name].sanitizer
     insert_only = frozenset((DeltaOp.INSERT,))
     checked = 0
@@ -145,11 +100,11 @@ def test_observed_kinds_subset_of_armed_proofs(name, sanitized_runs):
                 f"{name}: {op.name}@n{shadow.node_id} port {port} saw "
                 f"{sorted(k.value for k in extra)} outside the proof "
                 f"{sorted(k.value for k in limit)}")
-    assert checked, f"{name}: no armed proofs were exercised"
+    assert checked, f"{name}: no attached proofs were exercised"
 
 
 # ---------------------------------------------------------------------------
-# Property 3: a contradicting delta is a hard REX307
+# Property 2: a contradicting delta is a hard REX307
 # ---------------------------------------------------------------------------
 
 class _FakeProvenOp:

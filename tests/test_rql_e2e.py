@@ -108,6 +108,45 @@ class TestSimpleQueries:
             session.execute("SELECT nope FROM graph")
 
 
+class TestEmptyGlobalAggregate:
+    """SQL semantics: a global aggregate over empty input is one row."""
+
+    @staticmethod
+    def session():
+        cluster = Cluster(3)
+        cluster.create_table("t", ["a:Integer", "b:Double"],
+                             [(1, 2.0), (2, 3.0)], "a")
+        return RQLSession(cluster)
+
+    @pytest.mark.parametrize("agg, expected", [
+        ("count(*)", 0), ("count(b)", 0), ("sum(b)", None),
+        ("avg(b)", None), ("min(b)", None), ("max(b)", None),
+    ])
+    def test_each_aggregate_over_empty_filter(self, agg, expected):
+        result = self.session().execute(f"SELECT {agg} FROM t WHERE a > 5")
+        assert result.rows == [(expected,)]
+
+    def test_expression_over_aggregate_is_null(self):
+        result = self.session().execute(
+            "SELECT count(*), sum(b) * 2 FROM t WHERE a > 5")
+        assert result.rows == [(0, None)]
+
+    def test_group_by_over_empty_input_returns_no_rows(self):
+        result = self.session().execute(
+            "SELECT a, count(*) FROM t WHERE a > 5 GROUP BY a")
+        assert result.rows == []
+
+    def test_non_empty_input_is_unchanged(self):
+        result = self.session().execute(
+            "SELECT count(*), sum(b) FROM t WHERE a > 1")
+        assert result.rows == [(1, 3.0)]
+
+    def test_limit_zero_still_applies(self):
+        result = self.session().execute(
+            "SELECT count(*) FROM t WHERE a > 5 LIMIT 0")
+        assert result.rows == []
+
+
 PAGERANK_RQL = """
     WITH PR (srcId, pr) AS                 -- Base case initializes
     ( SELECT srcId, 1.0 AS pr FROM graph   -- PageRank to 1

@@ -344,10 +344,11 @@ class TestHandlerRelease:
 
 
 class TestPlanRunsAsChosen:
-    def test_execute_infers_no_lineage(self):
-        """The executor runs the optimizer's plan (plus fusion): no
-        column-lineage inference or callable-effect extraction happens at
-        execution time."""
+    @staticmethod
+    def _run_watched(options=None):
+        """Run a lowered GROUP BY plan, counting calls to the analysis
+        passes the executor must not run unasked."""
+        from repro.analysis.absint import infer
         from repro.analysis.effects import extract_effects
         from repro.analysis.lineage import infer_lineage
         from repro.datasets import lineitem
@@ -363,7 +364,8 @@ class TestPlanRunsAsChosen:
             "SELECT linenumber, sum(tax) FROM lineitem "
             "WHERE quantity > 10 GROUP BY linenumber"))
         watched = {infer_lineage.__code__: "infer_lineage",
-                   extract_effects.__code__: "extract_effects"}
+                   extract_effects.__code__: "extract_effects",
+                   infer.__code__: "absint.infer"}
         calls = {}
 
         def profile(frame, event, arg):
@@ -371,10 +373,30 @@ class TestPlanRunsAsChosen:
             if name is not None:
                 calls[name] = calls.get(name, 0) + 1
 
+        executor = QueryExecutor(cluster, options)
         sys.setprofile(profile)
         try:
-            result = QueryExecutor(cluster).execute(plan)
+            result = executor.execute(plan)
         finally:
             sys.setprofile(None)
         assert result.rows
+        return executor, calls
+
+    def test_execute_infers_no_lineage(self):
+        """The executor runs the optimizer's plan (plus fusion): no
+        column-lineage inference, callable-effect extraction or polarity
+        inference happens at execution time unless a sanitizer asks."""
+        _, calls = self._run_watched()
         assert calls == {}
+
+    def test_sanitized_run_infers_polarity_once(self):
+        """A sanitizer reads the polarity proofs, so a sanitized run
+        infers them once and attaches them to its group-by."""
+        from repro.operators import GroupBy
+
+        executor, calls = self._run_watched(ExecOptions(sanitize="sample"))
+        assert calls == {"absint.infer": 1}
+        groupbys = [op for wp in executor.worker_plans.values()
+                    for op in wp.operators if isinstance(op, GroupBy)]
+        assert groupbys
+        assert all(op.proof_polarity for op in groupbys)
